@@ -19,6 +19,7 @@ from functools import partial
 
 from jsonschema import Draft202012Validator
 
+from . import __version__
 from .deviation import deviation_trace, uniform_deviation
 from .errors import ResourceLimitError
 from .families import dyadic_class, half_interval_class, k_interval_class, run_pattern_class, subset_indexed_sets
@@ -43,7 +44,8 @@ from .processes import (
 from .suite import run_suite
 from .vc import full_join_witness, join, sauer_bound, shatter_coefficient, vc_dimension
 
-VERSION = "0.1.0"
+# Seeds key a 64-bit counter generator; larger seeds would alias smaller ones.
+_SEED_MAX = (1 << 64) - 1
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -55,7 +57,7 @@ CONFIG_SCHEMA = {
             "required": ["kind"],
             "properties": {
                 "kind": {"enum": ["iid-uniform", "rotation", "doubling", "markov"]},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer", "minimum": 0, "maximum": _SEED_MAX},
                 "precision": {"type": "integer", "minimum": 64},
                 "params": {"type": "object"},
             },
@@ -84,7 +86,7 @@ CONFIG_SCHEMA = {
         },
         "seeds": {
             "type": "array",
-            "items": {"type": "integer", "minimum": 0},
+            "items": {"type": "integer", "minimum": 0, "maximum": _SEED_MAX},
             "minItems": 1,
         },
         "precision": {"type": "integer", "minimum": 64},
@@ -222,7 +224,7 @@ def _rat(v: Fraction) -> dict:
 def _report(args, command: str, body: dict, config: dict) -> None:
     report = {
         "command": command,
-        "version": VERSION,
+        "version": __version__,
         "config": config,
         **body,
     }
@@ -296,7 +298,7 @@ def _cmd_join_witness(args, config) -> int:
         sets = subset_indexed_sets(args.k)
         jp = join(sets)
         witness = full_join_witness(jp)
-        fam = SetFamily("joined", lambda i: sets[i], size=len(sets))
+        fam = SetFamily.of("joined", sets)
         s = shatter_coefficient(witness, fam, len(sets))
         body = {
             "k": args.k,
@@ -520,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ergodic-vc",
         description="exact experiments on interval families along sampled orbits",
     )
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("shatter", parents=[common, family], help="shatter coefficient on a point grid")

@@ -35,28 +35,33 @@ class DeviationResult:
     budget: int
 
 
-def member_count(member, sorted_fixed, precision: int) -> int:
-    return member.count_fixed(sorted_fixed, precision)
-
-
 def discrepancy(member, path: SamplePath, m: int) -> Fraction:
     """|empirical frequency - measure| of one set on the m-prefix."""
-    hits = member_count(member, path.sorted_fixed(m), path.precision)
+    hits = member.count_fixed(path.sorted_fixed(m), path.precision)
     return abs(Fraction(hits, m) - member.measure)
+
+
+def _sup_deviation(pairs, sorted_fixed, precision: int) -> tuple[Fraction, int | None]:
+    """Largest |frequency - target| over (member, target) pairs, first argmax.
+
+    Frequencies are counts over the whole ascending prefix ``sorted_fixed``.
+    Ties keep the lowest index; no pairs give (0, None).
+    """
+    m = len(sorted_fixed)
+    best = Fraction(0)
+    argmax = None
+    for i, (member, target) in enumerate(pairs):
+        value = abs(Fraction(member.count_fixed(sorted_fixed, precision), m) - target)
+        if argmax is None or value > best:
+            best, argmax = value, i
+    return best, argmax
 
 
 def uniform_deviation(fam: SetFamily, upto: int, path: SamplePath, m: int) -> DeviationResult:
     """Largest member deviation within the budget (first index on ties)."""
     fam.check_budget(upto)
-    sorted_fixed = path.sorted_fixed(m)
-    best = Fraction(0)
-    argmax = None
-    for i in range(upto):
-        member = fam.member(i)
-        hits = member_count(member, sorted_fixed, path.precision)
-        value = abs(Fraction(hits, m) - member.measure)
-        if argmax is None or value > best:
-            best, argmax = value, i
+    pairs = ((c, c.measure) for c in map(fam.member, range(upto)))
+    best, argmax = _sup_deviation(pairs, path.sorted_fixed(m), path.precision)
     return DeviationResult(best, argmax, upto)
 
 

@@ -9,14 +9,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .intervals import Interval, IntervalUnion, SetFamily, dyadic_family
+from .intervals import Interval, IntervalUnion, SetFamily
 
 
 def dyadic_class(max_order: int) -> SetFamily:
     """Every dyadic interval of order 1..max_order, enumerated order-major.
 
-    Unlike :func:`dyadic_family` this mixes orders, so nested intervals are
-    available and the class has dimension two over fine enough grids.
+    Mixing orders makes nested intervals available, so the class has
+    dimension two over fine enough grids.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .deviation import DeviationResult
 from .errors import InsufficientDataError
-from .intervals import IntervalUnion, SetFamily, normalize
+from .intervals import IntervalUnion, SetFamily, ceil_fixed, normalize
 from .processes import DOMAIN_FN_GEN, DOMAIN_YLIFT, SamplePath, fixed_uniform
 
 
@@ -104,9 +104,6 @@ class PiecewiseFn:
         x = Fraction(x)
         i = self.piece_index(x)
         return self.slopes[i] * x + self.intercepts[i]
-
-    def eval_fixed(self, n: int, precision: int) -> Fraction:
-        return self(Fraction(n, 1 << precision))
 
     def mean(self) -> Fraction:
         """Exact integral against Lebesgue measure on [0, 1)."""
@@ -321,20 +318,19 @@ def _eval_plan(f: PiecewiseFn, precision: int):
     bounds = []
     rows = []
     for i, (s, c) in enumerate(zip(f.slopes, f.intercepts)):
-        b = f.breakpoints[i]
-        bounds.append(-((-b.numerator * scale) // b.denominator))
+        bounds.append(ceil_fixed(f.breakpoints[i], precision))
         sd, cd = s.denominator, c.denominator
         rows.append((s.numerator * cd, c.numerator * sd * scale, sd * cd))
     return bounds, rows
 
 
-def _plan_sums(bounds, rows, fixed, yfixed=None):
-    """Bucketed sums of f over fixed points, plus closed-indicator hits.
+def _plan_sums(f: PiecewiseFn, precision: int, fixed, yfixed=None) -> tuple[Fraction, int]:
+    """Exact sum of f over fixed points, plus closed-indicator hits.
 
-    Returns (numerator_sum_fraction_parts, hits): the exact sum of f over
-    the points is the total of Fraction(A*sn + B*cnt, D << P) per piece, and
+    Points are bucketed by piece, so the sum costs one Fraction per piece;
     hits counts pairs with y <= f(x) when ``yfixed`` is given.
     """
+    bounds, rows = _eval_plan(f, precision)
     sums = [0] * len(rows)
     cnts = [0] * len(rows)
     hits = 0
@@ -351,18 +347,12 @@ def _plan_sums(bounds, rows, fixed, yfixed=None):
                 hits += 1
             sums[i] += n
             cnts[i] += 1
-    return sums, cnts, hits
-
-
-def _mean_on_path(f: PiecewiseFn, path: SamplePath, m: int) -> Fraction:
-    bounds, rows = _eval_plan(f, path.precision)
-    sums, cnts, _ = _plan_sums(bounds, rows, path.fixed[:m])
-    scale = 1 << path.precision
+    scale = 1 << precision
     total = Fraction(0)
     for (a, b, d), sn, cnt in zip(rows, sums, cnts):
         if cnt:
             total += Fraction(a * sn + b * cnt, d * scale)
-    return total / m
+    return total, hits
 
 
 def gamma_fn(fns, path: SamplePath, m: int) -> DeviationResult:
@@ -378,7 +368,8 @@ def gamma_fn(fns, path: SamplePath, m: int) -> DeviationResult:
     best = Fraction(0)
     arg = None
     for i, f in enumerate(fns):
-        dev = abs(_mean_on_path(f, path, m) - f.mean())
+        total, _ = _plan_sums(f, path.precision, path.fixed[:m])
+        dev = abs(total / m - f.mean())
         if arg is None or dev > best:
             best, arg = dev, i
     if arg is None:
@@ -428,10 +419,7 @@ class GraphSample:
     def indicator_mean(self, f: PiecewiseFn, m: int) -> Fraction:
         """Empirical frequency of y <= f(x) over the first m pairs."""
         self._require(m)
-        bounds, rows = _eval_plan(f, self.precision)
-        _, _, hits = _plan_sums(
-            bounds, rows, self.path.fixed[:m], self.yfixed[:m]
-        )
+        _, hits = _plan_sums(f, self.precision, self.path.fixed[:m], self.yfixed[:m])
         return Fraction(hits, m)
 
 
@@ -504,19 +492,11 @@ def gamma_split(fns, gs: GraphSample, m: int) -> GammaSplit:
             ]
             scale = 2 * env
 
-    fixed_scale = 1 << gs.precision
     gamma = gamma1 = gamma2 = Fraction(-1)
     a0 = a1 = a2 = None
     for i, g in enumerate(evaluated):
         mean_exact = g.mean()
-        bounds, rows = _eval_plan(g, gs.precision)
-        sums, cnts, hits = _plan_sums(
-            bounds, rows, gs.path.fixed[:m], gs.yfixed[:m]
-        )
-        total = Fraction(0)
-        for (a, b, d), sn, cnt in zip(rows, sums, cnts):
-            if cnt:
-                total += Fraction(a * sn + b * cnt, d * fixed_scale)
+        total, hits = _plan_sums(g, gs.precision, gs.path.fixed[:m], gs.yfixed[:m])
         sample_mean = total / m
         freq = Fraction(hits, m)
         d0 = abs(sample_mean - mean_exact)
@@ -546,8 +526,7 @@ def lm_bound(m: int, v: int) -> float:
 
 def sublevel_family(f: PiecewiseFn, alphas, name: str = "sublevel") -> SetFamily:
     """Family of half-open sublevel sets {f <= alpha} over the given alphas."""
-    sets = [f.sublevel(a) for a in alphas]
-    return SetFamily(name, lambda i: sets[i], size=len(sets))
+    return SetFamily.of(name, (f.sublevel(a) for a in alphas))
 
 
 class GraphSet:
@@ -574,9 +553,7 @@ class GraphSet:
 
 def graph_family(fns, precision: int, name: str = "graphs") -> SetFamily:
     """Family of under-graph regions, one per function, over (x, y) pairs."""
-    fns = list(fns)
-    sets = [GraphSet(f, precision) for f in fns]
-    return SetFamily(name, lambda i: sets[i], size=len(sets))
+    return SetFamily.of(name, (GraphSet(f, precision) for f in fns))
 
 
 def ramp_family(count: int = 10, slope=2) -> list[PiecewiseFn]:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientDataError
-from .deviation import DeviationResult, uniform_deviation
-from .intervals import IntervalUnion, SetFamily
-from .processes import SamplePath
+from .deviation import DeviationResult, _sup_deviation
+from .intervals import IntervalUnion, SetFamily, ceil_fixed
+from .processes import AtomSet, SamplePath
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,10 @@ def induce(path: SamplePath, region: IntervalUnion, count: int) -> InducedPath:
         raise ValueError("region must have positive measure")
     if count < 1:
         raise ValueError("count must be >= 1")
-    scale = 1 << path.precision
-    thresholds = []
-    for part in region.parts:
-        lo = -((-part.lo.numerator * scale) // part.lo.denominator)
-        hi = -((-part.hi.numerator * scale) // part.hi.denominator)
-        thresholds.append((lo, hi))
+    thresholds = [
+        (ceil_fixed(part.lo, path.precision), ceil_fixed(part.hi, path.precision))
+        for part in region.parts
+    ]
     hits = []
     for i, n in enumerate(path.fixed, start=1):
         for lo, hi in thresholds:
@@ -125,7 +123,7 @@ def frequency_transfer_identity(
     tau_m = ip.hits[m - 1]
     base_prefix = sorted(ip.base.fixed[:tau_m])
     region_c = _intersect_member(c, ip.region)
-    rhs_hits = _count_member(region_c, base_prefix, precision)
+    rhs_hits = region_c.count_fixed(base_prefix, precision)
     pacing = ip.region.measure * Fraction(tau_m, m)
     rhs = (1 / ip.region.measure) * pacing * Fraction(rhs_hits, tau_m)
     return TransferIdentity(lhs, rhs, pacing)
@@ -135,14 +133,8 @@ def _intersect_member(c, region: IntervalUnion):
     if isinstance(c, IntervalUnion):
         return c.intersect(region)
     # Finite atom member: keep atoms inside the region.
-    from .processes import AtomSet
-
     kept = [n for n, x in zip(c.fixed, c.atoms()) if x in region]
     return AtomSet(kept, c.precision)
-
-
-def _count_member(member, sorted_fixed, precision: int) -> int:
-    return member.count_fixed(sorted_fixed, precision)
 
 
 def induced_uniform_deviation(
@@ -156,18 +148,12 @@ def induced_uniform_deviation(
     if not 1 <= m <= ip.count:
         raise InsufficientDataError(f"deviation needs m <= {ip.count}", ip.count)
     fam.check_budget(upto)
-    precision = ip.base.precision
-    sorted_induced = sorted(ip.induced_fixed[:m])
     mu = ip.region.measure
-    best = Fraction(0)
-    argmax = None
-    for i in range(upto):
-        member = fam.member(i)
-        hits = _count_member(member, sorted_induced, precision)
-        target = _intersect_member(member, ip.region).measure / mu
-        value = abs(Fraction(hits, m) - target)
-        if argmax is None or value > best:
-            best, argmax = value, i
+    pairs = (
+        (c, _intersect_member(c, ip.region).measure / mu)
+        for c in map(fam.member, range(upto))
+    )
+    best, argmax = _sup_deviation(pairs, sorted(ip.induced_fixed[:m]), ip.base.precision)
     return DeviationResult(best, argmax, upto)
 
 
@@ -198,15 +184,10 @@ def deviation_transfer_bound(
         raise ValueError("transfer bound needs m >= 2")
     induced_dev = induced_uniform_deviation(ip, fam, upto, m).value
     tau = ip.taus[m - 1]
-    sorted_base = sorted(ip.base.fixed[:tau])
-    mu = ip.region.measure
-    best = Fraction(0)
-    for i in range(upto):
-        member = _intersect_member(fam.member(i), ip.region)
-        hits = _count_member(member, sorted_base, ip.base.precision)
-        value = abs(Fraction(hits, tau) - member.measure)
-        if value > best:
-            best = value
+    pieces = (_intersect_member(c, ip.region) for c in map(fam.member, range(upto)))
+    base_dev, _ = _sup_deviation(
+        ((c, c.measure) for c in pieces), sorted(ip.base.fixed[:tau]), ip.base.precision
+    )
     pacing = kac_ratio(ip, m)
-    lower = best / mu - abs(pacing - 1)
-    return TransferBound(induced_dev, best, pacing, lower)
+    lower = base_dev / ip.region.measure - abs(pacing - 1)
+    return TransferBound(induced_dev, base_dev, pacing, lower)

@@ -22,12 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import ParseError, ResourceLimitError
+from .errors import ParseError
 
 Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def ceil_fixed(x: Fraction, precision: int) -> int:
+    """Least numerator n with n / 2**precision >= x (exact threshold)."""
+    return -((-x.numerator << precision) // x.denominator)
 
 
 def _check_endpoint(x: Fraction) -> Fraction:
@@ -76,13 +81,6 @@ class IntervalUnion:
                 raise ValueError(f"parts not normalized: {a} then {b}")
         object.__setattr__(self, "parts", parts)
 
-    # -- construction ----------------------------------------------------
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple]) -> "IntervalUnion":
-        """Normalize arbitrary (lo, hi) rational pairs into a union."""
-        return normalize(pairs)
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -108,13 +106,6 @@ class IntervalUnion:
 
     def __repr__(self) -> str:
         return f"IntervalUnion({str(self)!r})"
-
-    def endpoints(self) -> list[Fraction]:
-        out = []
-        for p in self.parts:
-            out.append(p.lo)
-            out.append(p.hi)
-        return out
 
     # -- boolean algebra ---------------------------------------------------
 
@@ -176,11 +167,10 @@ class IntervalUnion:
         ``sorted_fixed`` must be ascending numerators at the given precision.
         Comparisons against rational endpoints are exact.
         """
-        scale = 1 << precision
         total = 0
         for p in self.parts:
-            lo = -((-p.lo.numerator * scale) // p.lo.denominator)
-            hi = -((-p.hi.numerator * scale) // p.hi.denominator)
+            lo = ceil_fixed(p.lo, precision)
+            hi = ceil_fixed(p.hi, precision)
             total += bisect_right(sorted_fixed, hi - 1) - bisect_right(sorted_fixed, lo - 1)
         return total
 
@@ -303,6 +293,12 @@ class SetFamily:
         self.size = size
         self._cache: dict[int, object] = {}
 
+    @classmethod
+    def of(cls, name: str, members) -> "SetFamily":
+        """Finite family enumerating the given members in order."""
+        members = tuple(members)
+        return cls(name, members.__getitem__, len(members))
+
     def member(self, i: int):
         if i < 0 or (self.size is not None and i >= self.size):
             raise IndexError(f"member {i} out of range for family {self.name!r}")
@@ -327,37 +323,3 @@ class SetFamily:
     def __repr__(self) -> str:
         return f"SetFamily({self.name!r}, size={self.size})"
 
-
-def dyadic_family(n: int, cap: int = 1 << 20) -> SetFamily:
-    """The 2**n half-open dyadic intervals of order n, as a partition family."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if (1 << n) > cap:
-        raise ResourceLimitError(f"dyadic order {n} exceeds cap {cap}")
-    den = 1 << n
-
-    def member(i: int) -> IntervalUnion:
-        return IntervalUnion((Interval(Fraction(i, den), Fraction(i + 1, den)),))
-
-    return SetFamily(f"dyadic-partition({n})", member, den)
-
-
-def dyadic_grid(order: int) -> tuple[Fraction, ...]:
-    """All dyadic rationals k / 2**order inside [0, 1)."""
-    den = 1 << order
-    return tuple(Fraction(k, den) for k in range(den))
-
-
-def boundary_points(fam: SetFamily, upto: int) -> tuple[Fraction, ...]:
-    """Sorted distinct endpoints of the first ``upto`` members.
-
-    Members that are finite atom sets contribute their atoms (a finite set
-    is its own boundary).
-    """
-    seen: set[Fraction] = set()
-    for member in fam.members(upto):
-        if isinstance(member, IntervalUnion):
-            seen.update(member.endpoints())
-        else:
-            seen.update(member.atoms())
-    return tuple(sorted(seen))

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import FULL, Interval, IntervalUnion
+from .intervals import Interval, IntervalUnion, normalize, parse_union
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,6 @@ class PiecewiseTranslation:
                 a, b = max(part.lo, lo), min(part.hi, hi)
                 if a < b:
                     pairs.append((a + shift, b + shift))
-        from .intervals import normalize
-
         return normalize(pairs)
 
     def preimage(self, u: IntervalUnion) -> IntervalUnion:
@@ -106,8 +104,6 @@ class PiecewiseTranslation:
                 a, b = max(part.lo, ilo), min(part.hi, ihi)
                 if a < b:
                     pairs.append((a - shift, b - shift))
-        from .intervals import normalize
-
         return normalize(pairs)
 
     def to_json(self) -> dict:
@@ -124,8 +120,6 @@ class PiecewiseTranslation:
 
     @staticmethod
     def from_json(obj: dict) -> "PiecewiseTranslation":
-        from .intervals import parse_union
-
         pieces = [
             Piece(parse_union(p["source"]), Fraction(p["beta"])) for p in obj["pieces"]
         ]
@@ -194,8 +188,6 @@ def image_of_union(
         covered = covered.union(p.source)
     if covered != c:
         raise ValueError("set is not a union of stage cells")
-    from .intervals import normalize
-
     return normalize(image_pairs), normalize(block_pairs)
 
 

@@ -19,7 +19,7 @@ Kinds:
 
 from __future__ import annotations
 
-import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -83,6 +83,8 @@ class ProcessSpec:
             raise ValueError(f"precision {self.precision} below minimum 64")
         if self.kind not in ("iid-uniform", "rotation", "doubling", "markov"):
             raise ValueError(f"unknown process kind {self.kind!r}")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
 
     def with_seed(self, seed: int) -> "ProcessSpec":
         return ProcessSpec(self.kind, self.params, seed, self.precision)
@@ -108,20 +110,26 @@ class ProcessSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ProcessSpec":
+        """Rebuild a spec through its kind's validating constructor."""
         kind = obj["kind"]
-        raw = obj.get("params", {})
+        params = obj.get("params", {})
+        seed = int(obj["seed"])
         precision = int(obj.get("precision", 128))
-        params = dict(raw)
+        if kind == "iid-uniform":
+            return iid_spec(seed, precision)
         if kind == "rotation":
-            if "alpha_fixed" in raw:
-                params["alpha_fixed"] = int(raw["alpha_fixed"])
-            else:
-                params["alpha_fixed"] = golden_alpha_fixed(precision)
-            params["x0_fixed"] = int(raw.get("x0_fixed", 0))
+            alpha = params.get("alpha_fixed")
+            return rotation_spec(
+                seed,
+                None if alpha is None else int(alpha),
+                int(params.get("x0_fixed", 0)),
+                precision,
+            )
+        if kind == "doubling":
+            return doubling_spec(seed, precision)
         if kind == "markov":
-            params["matrix"] = [[Fraction(x) for x in row] for row in raw["matrix"]]
-            params["cells"] = [parse_union(c) for c in raw["cells"]]
-        return ProcessSpec(kind, params, int(obj["seed"]), precision)
+            return markov_spec(params["matrix"], params["cells"], seed, precision)
+        raise ValueError(f"unknown process kind {kind!r}")
 
 
 def iid_spec(seed: int, precision: int = 128) -> ProcessSpec:
@@ -252,13 +260,20 @@ class SamplePath:
         return SamplePath(spec, precision, fixed)
 
 
-def _doubling_fixed(seed: int, count: int, precision: int) -> list[int]:
-    total_bits = count + precision
-    words = -(-total_bits // 64)
+def _doubling_stream(seed: int, bits: int) -> tuple[int, int]:
+    """The doubling bit stream cut to whole words holding at least ``bits``.
+
+    Returns (stream, width); stream bit b_1 is bit width - 1 of the integer.
+    """
+    words = -(-bits // 64)
     stream = 0
     for lane in range(words):
         stream = (stream << 64) | _word(seed, DOMAIN_DOUBLING, lane, 0)
-    total = words * 64
+    return stream, words * 64
+
+
+def _doubling_fixed(seed: int, count: int, precision: int) -> list[int]:
+    stream, total = _doubling_stream(seed, count + precision)
     mask = (1 << precision) - 1
     # Bit b_1 is the most significant; x_i = 0.b_{i+1} ... b_{i+precision}.
     return [(stream >> (total - (i + precision))) & mask for i in range(1, count + 1)]
@@ -376,8 +391,6 @@ class AtomSet:
         n = x.numerator << self.precision
         if n % x.denominator:
             return False
-        from bisect import bisect_left
-
         n //= x.denominator
         i = bisect_left(self.fixed, n)
         return i < len(self.fixed) and self.fixed[i] == n
@@ -385,8 +398,6 @@ class AtomSet:
     def count_fixed(self, sorted_fixed, precision: int) -> int:
         if precision != self.precision:
             raise ValueError("precision mismatch between atoms and path")
-        from bisect import bisect_left, bisect_right
-
         return sum(
             bisect_right(sorted_fixed, n) - bisect_left(sorted_fixed, n) for n in self.fixed
         )
@@ -426,13 +437,5 @@ def trajectory_family(
 
 def doubling_stream_bits(seed: int, count: int) -> list[int]:
     """First ``count`` bits b_1.. of the doubling bit stream (for audits)."""
-    words = -(-count // 64)
-    stream = 0
-    for lane in range(words):
-        stream = (stream << 64) | _word(seed, DOMAIN_DOUBLING, lane, 0)
-    total = words * 64
+    stream, total = _doubling_stream(seed, count)
     return [(stream >> (total - i)) & 1 for i in range(1, count + 1)]
-
-
-def spec_to_text(spec: ProcessSpec) -> str:
-    return json.dumps(spec.to_json(), sort_keys=True)

@@ -111,11 +111,6 @@ def _fan_out(fn, args, workers: int) -> list:
         return list(pool.map(fn, args, chunksize=chunk))
 
 
-def _list_family(name: str, members) -> SetFamily:
-    members = list(members)
-    return SetFamily(name, lambda i: members[i], size=len(members))
-
-
 # -- criterion 1: shatter coefficients never beat the binomial bound -----------
 
 
@@ -130,7 +125,7 @@ def _criterion_sauer() -> CriterionResult:
         while len(numerators) < p:
             numerators.add(d.next(64))
         points = [Fraction(2 * n + 1, 128) for n in sorted(numerators)]
-        fam = _list_family(
+        fam = SetFamily.of(
             f"random-{t}", [_rand_union64(d, d.next(7)) for _ in range(1 + d.next(8))]
         )
         s = shatter_coefficient(points, fam, fam.size)
@@ -161,7 +156,7 @@ def _criterion_join_witness() -> CriterionResult:
         sets = subset_indexed_sets(k)
         jp = join(sets)
         witness = full_join_witness(jp)
-        fam = _list_family(f"joined-{k}", sets)
+        fam = SetFamily.of(f"joined-{k}", sets)
         s = shatter_coefficient(witness, fam, fam.size)
         if jp.is_full and s == 1 << k:
             certified += 1

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ResourceLimitError
-from .intervals import EMPTY, FULL, Interval, IntervalUnion, SetFamily
+from .intervals import Interval, IntervalUnion, SetFamily
 
 
 @dataclass(frozen=True)
@@ -279,58 +279,3 @@ def full_join_witness(jp: JoinPartition) -> tuple[Fraction, ...]:
         raise AssertionError("witness points not shattered; join inconsistent")
     return tuple(points)
 
-
-# -- structural checks ---------------------------------------------------------
-
-
-def pairwise_disjoint_or_equal(members) -> bool:
-    """True when every pair of members is equal or has empty intersection.
-
-    Members may be IntervalUnion values or finite atom sets (anything with
-    ``atoms()``); comparison is exact.
-    """
-    canon = []
-    for m in members:
-        if isinstance(m, IntervalUnion):
-            canon.append(("iu", m))
-        else:
-            canon.append(("atoms", frozenset(m.atoms())))
-    for (ka, a), (kb, b) in combinations(canon, 2):
-        if ka != kb:
-            if ka == "atoms":
-                (ka, a), (kb, b) = (kb, b), (ka, a)
-            if any(x in a for x in b):
-                return False
-            continue
-        if a == b:
-            continue
-        if ka == "iu":
-            if not a.intersect(b).is_empty:
-                return False
-        else:
-            if a & b:
-                return False
-    return True
-
-
-def disjoint_or_equal_dimension(members) -> int:
-    """Dimension of a disjoint-or-equal family, certified structurally.
-
-    Two points x, y can never be shattered: a member containing both would
-    have to coexist with a distinct member containing x alone, and distinct
-    members are disjoint. One point is shattered as soon as the family has
-    a nonempty member and a second, distinct member to realize the empty
-    trace. Raises if the structure assumption fails.
-    """
-    members = list(members)
-    if not pairwise_disjoint_or_equal(members):
-        raise ValueError("family is not pairwise disjoint-or-equal")
-
-    def key(m):
-        return m if isinstance(m, IntervalUnion) else frozenset(m.atoms())
-
-    def nonempty(m):
-        return (not m.is_empty) if isinstance(m, IntervalUnion) else len(m.atoms()) > 0
-
-    distinct = {key(m) for m in members}
-    return 1 if len(distinct) >= 2 and any(nonempty(m) for m in members) else 0

@@ -193,6 +193,17 @@ def test_descending_m_grid_exits_2(invoke, tmp_path):
     assert "/m_grid" in err
 
 
+def test_seed_beyond_64_bits_exits_2(invoke, tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"seeds": [1 << 64]}))
+    code, _, err = invoke(["converge", "--config", str(cfg)])
+    assert code == 2
+    assert "/seeds/0" in err
+    assert _validate_config({"process": {"kind": "iid-uniform", "seed": 1 << 64}}).startswith(
+        "/process/seed"
+    )
+
+
 def test_unknown_top_level_key_exits_2(invoke, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"mgrid": [10]}))
@@ -243,6 +254,16 @@ def test_markov_without_params_exits_1(invoke):
                            "--m-grid", "10", "--seeds", "0"])
     assert code == 1
     assert "matrix" in err
+
+
+def test_invalid_markov_config_exits_1(invoke, tmp_path):
+    cfg = tmp_path / "chain.json"
+    params = {"matrix": [["1/2", "1/4"], ["1/4", "1/2"]], "cells": ["[0,3/4)", "[1/2,1)"]}
+    cfg.write_text(json.dumps({"process": {"kind": "markov", "params": params}}))
+    code, out, err = invoke(["converge", "--config", str(cfg), "--m-grid", "10", "--seeds", "0"])
+    assert code == 1
+    assert "rows must be nonnegative and sum to 1" in err
+    assert out == ""
 
 
 # -- worker environment variable ------------------------------------------------------

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ergodic_vc import (
     InsufficientDataError,
+    IntervalUnion,
     SamplePath,
+    SetFamily,
     deviation_transfer_bound,
     dyadic_class,
     frequency_transfer_identity,
@@ -20,6 +22,8 @@ from ergodic_vc import (
     mean_return_time,
     normalize,
     rotation_spec,
+    trajectory_family,
+    uniform_deviation,
 )
 
 F = Fraction
@@ -145,3 +149,58 @@ def test_transfer_bound_fields_consistent():
     assert tb.holds
     with pytest.raises(ValueError):
         deviation_transfer_bound(ip, fam, fam.size, 1)
+
+
+def _first_sup(values):
+    """Supremum with its lowest argmax; (0, None) for no values."""
+    if not values:
+        return F(0), None
+    best = max(values)
+    return best, values.index(best)
+
+
+@st.composite
+def scored_instance(draw):
+    """A short path on the 1/64 grid, a dyadic region, and dyadic cells plus orbit atoms."""
+    points = draw(st.lists(st.integers(0, 63), min_size=2, max_size=40))
+    path = path_from([F(k, 64) for k in points])
+    region = iu(draw(st.sampled_from(["[0,1/2)", "[1/4,1)", "[0,1/8) u [1/2,3/4)"])))
+    orbit = trajectory_family(
+        draw(st.integers(1, 63)) << 58, draw(st.integers(0, 63)) << 58, 64, draw(st.integers(1, 3))
+    )
+    dyadic = dyadic_class(3)
+    fam = SetFamily.of("mixed", [*dyadic.members(dyadic.size), orbit.member(0)])
+    upto = draw(st.integers(0, fam.size))
+    count = sum(1 for x in path.points() if x in region)
+    assume(count >= 2)
+    return path, region, fam, upto, count, draw(st.integers(1, len(points))), draw(st.integers(2, count))
+
+
+@settings(deadline=None)
+@given(scored_instance())
+def test_scoring_loop_matches_direct_recount(case):
+    path, region, fam, upto, count, m_base, m = case
+    xs = path.points()
+    members = [fam.member(i) for i in range(upto)]
+
+    def in_region(c):
+        return (c & region).measure if isinstance(c, IntervalUnion) else F(0)
+
+    values = [abs(F(sum(x in c for x in xs[:m_base]), m_base) - c.measure) for c in members]
+    res = uniform_deviation(fam, upto, path, m_base)
+    assert (res.value, res.argmax) == _first_sup(values)
+
+    ip = induce(path, region, count)
+    induced = [xs[t - 1] for t in ip.hits[:m]]
+    mu = region.measure
+    values = [abs(F(sum(x in c for x in induced), m) - in_region(c) / mu) for c in members]
+    res = induced_uniform_deviation(ip, fam, upto, m)
+    assert (res.value, res.argmax) == _first_sup(values)
+
+    base = xs[: ip.taus[m - 1]]
+    values = [
+        abs(F(sum(x in c and x in region for x in base), len(base)) - in_region(c))
+        for c in members
+    ]
+    tb = deviation_transfer_bound(ip, fam, upto, m)
+    assert tb.base_deviation == _first_sup(values)[0]

@@ -5,7 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ergodic_vc import Interval, IntervalUnion, ParseError, SetFamily, iu, normalize
+from ergodic_vc import (
+    Interval,
+    IntervalUnion,
+    ParseError,
+    SamplePath,
+    SetFamily,
+    iid_spec,
+    induce,
+    iu,
+    normalize,
+)
+from ergodic_vc.intervals import ceil_fixed
 
 F = Fraction
 
@@ -108,8 +119,43 @@ def test_count_fixed_matches_membership():
     assert u.count_fixed(fixed, precision) == direct
 
 
+@given(rat(den_cap=1000))
+def test_ceil_fixed_is_least_numerator_at_or_above(x):
+    n = ceil_fixed(x, 8)
+    assert F(n - 1, 256) < x <= F(n, 256)
+
+
+@st.composite
+def grid_union_and_points(draw):
+    """A union with endpoints on the 2**-8 grid and points often on them."""
+    ends = sorted(draw(st.lists(st.integers(0, 256), min_size=2, max_size=8, unique=True)))
+    u = normalize((F(a, 256), F(b, 256)) for a, b in zip(ends[::2], ends[1::2]))
+    on_ends = st.sampled_from([e for e in ends if e < 256])
+    points = draw(st.lists(st.one_of(on_ends, st.integers(0, 255)), min_size=1, max_size=40))
+    return u, points
+
+
+@given(grid_union_and_points())
+def test_fixed_thresholds_match_membership_on_endpoints(case):
+    u, points = case
+    inside = [i for i, n in enumerate(points, start=1) if F(n, 256) in u]
+    assert u.count_fixed(sorted(points), 8) == len(inside)
+    if inside:
+        path = SamplePath(iid_spec(0), 8, tuple(points))
+        assert induce(path, u, len(inside)).hits == tuple(inside)
+
+
 def test_set_family_budget_guard():
     fam = SetFamily("three", lambda i: iu("[0,1/2)"), size=3)
     fam.check_budget(3)
     with pytest.raises(ValueError):
         fam.check_budget(4)
+
+
+def test_set_family_of_lists_members_in_order():
+    sets = [iu("[0,1/2)"), iu("[1/4,1)")]
+    fam = SetFamily.of("pair", iter(sets))
+    assert fam.size == 2
+    assert list(fam.members(2)) == sets
+    with pytest.raises(IndexError):
+        fam.member(2)

@@ -77,6 +77,13 @@ def test_spec_precision_floor():
         iid_spec(0, precision=32)
 
 
+def test_spec_seed_must_fit_64_bits():
+    assert iid_spec((1 << 64) - 1).seed == (1 << 64) - 1
+    for seed in (1 << 64, -1):
+        with pytest.raises(ValueError):
+            iid_spec(seed)
+
+
 def test_with_seed_changes_only_seed():
     spec = iid_spec(1)
     other = spec.with_seed(9)
