@@ -112,6 +112,11 @@ def _validate_config(config) -> str | None:
     return None
 
 
+def _config_error(problem: str) -> int:
+    print(f"config error at {problem}", file=sys.stderr)
+    return 2
+
+
 # -- family registry -------------------------------------------------------------
 
 
@@ -319,17 +324,20 @@ _CSV_HEADER = "seed,m,gamma_num,gamma_den,gamma_f64,argmax_member"
 
 def _cmd_converge(args, config) -> int:
     t0 = time.time()
-    params = _family_params(args, config)
-    builder = partial(FAMILY_BUILDERS[params["name"]], params)
-    fam = builder()
-    upto = _family_budget(args, config, params, fam)
-    spec = _process_spec(args, config)
     m_grid = (
         [int(v) for v in args.m_grid.split(",")]
         if args.m_grid
         else config.get("m_grid", [100, 1000])
     )
     seeds = _parse_seed_list(args.seeds) if args.seeds else config.get("seeds", [0])
+    problem = _validate_config({"m_grid": m_grid, "seeds": seeds})
+    if problem is not None:
+        return _config_error(problem)
+    params = _family_params(args, config)
+    builder = partial(FAMILY_BUILDERS[params["name"]], params)
+    fam = builder()
+    upto = _family_budget(args, config, params, fam)
+    spec = _process_spec(args, config)
     workers = _effective_workers(args, config)
     bundle = deviation_trace(builder, upto, spec, m_grid, seeds, workers=workers)
     _emit("\n".join([_CSV_HEADER] + bundle.csv_rows()) + "\n", args)
@@ -584,12 +592,10 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
-            print(f"config error at /: {e}", file=sys.stderr)
-            return 2
+            return _config_error(f"/: {e}")
     problem = _validate_config(config)
     if problem is not None:
-        print(f"config error at {problem}", file=sys.stderr)
-        return 2
+        return _config_error(problem)
     try:
         return args.handler(args, config)
     except ResourceLimitError as e:

@@ -101,29 +101,26 @@ def k_interval_class(k: int, order: int) -> SetFamily:
 def subset_indexed_sets(k: int) -> list[IntervalUnion]:
     """2**k sets over the order-2**k dyadic grid whose join is full.
 
-    Cell j of the grid (j = 0 .. 2**(2**k) - 1) is placed in set u exactly
-    when bit u of j is set, so the cells realize every sign pattern and a
-    point of cell j lies in set u iff bit u of j is set. Feasible for
+    Cell j of the grid (j = 0 .. N - 1, N = 2**(2**k)) is placed in set u
+    exactly when bit u of j is set, so the cells realize every sign pattern
+    and a point of cell j lies in set u iff bit u of j is set. Those cells
+    form the runs [(2t + 1) 2**u, (2t + 2) 2**u), so set u is built directly
+    as the union of [(2t + 1) 2**u / N, (2t + 2) 2**u / N). Feasible for
     k <= 4; the k = 4 instance already has 65536 cells.
     """
     if not 1 <= k <= 4:
         raise ValueError("subset-indexed construction supports 1 <= k <= 4")
     n_sets = 1 << k
     n_cells = 1 << n_sets
-    den = Fraction(1, n_cells)
-    sets = []
-    for u in range(n_sets):
-        pairs = []
-        start = None
-        for j in range(n_cells + 1):
-            inside = j < n_cells and (j >> u) & 1
-            if inside and start is None:
-                start = j
-            elif not inside and start is not None:
-                pairs.append(Interval(start * den, j * den))
-                start = None
-        sets.append(IntervalUnion(tuple(pairs)))
-    return sets
+    return [
+        IntervalUnion(
+            tuple(
+                Interval(Fraction((2 * t + 1) << u, n_cells), Fraction((2 * t + 2) << u, n_cells))
+                for t in range(n_cells >> (u + 1))
+            )
+        )
+        for u in range(n_sets)
+    ]
 
 
 def run_pattern_class(k: int, grid) -> SetFamily:

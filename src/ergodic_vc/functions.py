@@ -27,7 +27,7 @@ from fractions import Fraction
 from .deviation import DeviationResult
 from .errors import InsufficientDataError
 from .intervals import IntervalUnion, SetFamily, ceil_fixed, normalize
-from .processes import DOMAIN_FN_GEN, DOMAIN_YLIFT, SamplePath, fixed_uniform
+from .processes import _MASK64, DOMAIN_FN_GEN, DOMAIN_YLIFT, SamplePath, fixed_uniform
 
 
 class PiecewiseFn:
@@ -424,7 +424,12 @@ class GraphSample:
 
 
 def graph_lift(path: SamplePath, yseed: int) -> GraphSample:
-    """Attach one auxiliary uniform y_i in [0, 1) per path sample."""
+    """Attach one auxiliary uniform y_i in [0, 1) per path sample.
+
+    ``yseed`` must lie in [0, 2**64), as larger seeds would repeat smaller ones.
+    """
+    if not 0 <= yseed <= _MASK64:
+        raise ValueError(f"yseed {yseed} outside [0, 2**64)")
     yfixed = tuple(
         fixed_uniform(yseed, DOMAIN_YLIFT, i, path.precision)
         for i in range(1, len(path.fixed) + 1)

@@ -1,12 +1,12 @@
 """Stagewise straightening maps: piecewise translations built from a filtration.
 
-Starting from a set C_1, the unit interval is rearranged so that C_1 maps
-to the prefix [0, lambda(C_1)) and its complement to the suffix. Each
-refinement step splits every current cell A by the next set C and packs
-A n C before A n C^c inside A's image block. After n steps the cells of
-the join of C_1..C_n map onto consecutive half-open blocks [beta,
-beta + lambda(A)), and the map restricted to each cell is a translation
-on each of its intervals, hence exactly measure preserving.
+The stage-n map of C_1..C_n sends each cell A of their join (``vc.join``)
+onto a half-open block [beta_A, beta_A + lambda(A)), translating each of
+A's intervals in turn, so it is exactly measure preserving. Blocks follow
+join order: cells are sorted by their signs on C_1, then C_2, and so on,
+inside before outside. Stage 1 therefore sends C_1 to the prefix
+[0, lambda(C_1)), and the block of a stage-n cell A splits into the blocks
+of A n C_{n+1} followed by A n C_{n+1}^c at stage n + 1.
 
 The classical doubling example: with C_i the union of the even order-(i+1)
 dyadic intervals, the stage-n map agrees with x -> 2x mod 1 up to the cell
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intervals import Interval, IntervalUnion, normalize, parse_union
+from .vc import join
 
 
 @dataclass(frozen=True)
@@ -126,39 +127,24 @@ class PiecewiseTranslation:
         return PiecewiseTranslation(pieces, int(obj["stage"]))
 
 
-def initial_map(c1: IntervalUnion) -> PiecewiseTranslation:
-    """Stage-1 map sending C_1 to [0, lambda(C_1)) and the rest after it."""
-    pieces = []
-    if not c1.is_empty:
-        pieces.append(Piece(c1, Fraction(0)))
-    rest = c1.complement()
-    if not rest.is_empty:
-        pieces.append(Piece(rest, c1.measure))
-    return PiecewiseTranslation(pieces, 1)
-
-
-def refine(phi: PiecewiseTranslation, c: IntervalUnion) -> PiecewiseTranslation:
-    """Split every cell A into A n C before A n C^c inside A's image block."""
-    pieces = []
-    for p in phi.pieces:
-        inside = p.source.intersect(c)
-        outside = p.source.difference(c)
-        if not inside.is_empty:
-            pieces.append(Piece(inside, p.beta))
-        if not outside.is_empty:
-            pieces.append(Piece(outside, p.beta + inside.measure))
-    return PiecewiseTranslation(pieces, phi.stage + 1)
-
-
 def build_map(sets) -> PiecewiseTranslation:
-    """Compose initial_map and refine over a list of sets."""
+    """Stage-n map of the filtration C_1..C_n given as ``sets``.
+
+    The join cells are packed in stage order: at stage j the cell inside
+    C_j precedes the one outside it, with C_1 deciding first, and each
+    cell's block starts at the total measure of the cells before it.
+    """
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one set")
-    phi = initial_map(sets[0])
-    for c in sets[1:]:
-        phi = refine(phi, c)
-    return phi
+    n = len(sets)
+    cells = join(sets).cells
+    pieces = []
+    beta = Fraction(0)
+    for mask in sorted(cells, key=lambda m: [not m >> j & 1 for j in range(n)]):
+        pieces.append(Piece(cells[mask], beta))
+        beta += cells[mask].measure
+    return PiecewiseTranslation(pieces, n)
 
 
 def image_of_union(

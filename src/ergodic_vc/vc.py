@@ -169,68 +169,34 @@ class JoinPartition:
         return sum((c.measure for c in self.cells.values()), Fraction(0))
 
 
-def _split_pairs(parts, cparts):
-    """Split sorted disjoint (lo, hi) pairs by another such list.
-
-    Returns (inside, outside) pair lists. Both inputs are canonical
-    (sorted, pairwise non-touching), so output segments within one part are
-    separated by the opposite kind and never touch; plain appends keep the
-    outputs canonical.
-    """
-    inside: list = []
-    outside: list = []
-    ci = 0
-    nc = len(cparts)
-    for lo, hi in parts:
-        cur = lo
-        while ci < nc and cparts[ci][1] <= cur:
-            ci += 1
-        j = ci
-        while cur < hi:
-            if j < nc and cparts[j][0] <= cur:
-                end = cparts[j][1]
-                if end <= hi:
-                    inside.append((cur, end))
-                    cur = end
-                    j += 1
-                else:
-                    inside.append((cur, hi))
-                    cur = hi
-            elif j < nc and cparts[j][0] < hi:
-                outside.append((cur, cparts[j][0]))
-                cur = cparts[j][0]
-            else:
-                outside.append((cur, hi))
-                cur = hi
-    return inside, outside
-
-
 def join(sets, cap: int = 20) -> JoinPartition:
-    """Common refinement of the sets into sign-labelled cells.
+    """Common refinement of the sets into sign-labelled cells, by one sweep.
 
-    Cells partition [0, 1) exactly; empty cells are dropped. ``cap`` bounds
+    Each endpoint is keyed to the XOR of ``1 << j`` over the sets j with an
+    endpoint there, so crossing it flips exactly those membership bits.
+    Walking the keys in order, each elementary segment [lo, x) joins the cell
+    of the current mask. A normalized union never has two endpoints at one
+    point, so every key below 1 flips some bit: neighbouring segments differ
+    in mask and each cell's parts come out sorted and non-touching.
+
+    Cells partition [0, 1) exactly; empty cells are absent. ``cap`` bounds
     the number of input sets, since the cell count can reach 2**len(sets).
-    The refinement sweeps raw endpoint pairs and only materializes interval
-    objects for the final cells, which keeps large joins affordable.
     """
     sets = tuple(sets)
     if len(sets) > cap:
         raise ResourceLimitError(f"join of {len(sets)} sets exceeds cap {cap}")
-    raw = {0: [(Fraction(0), Fraction(1))]}
+    flips = {Fraction(1): 0}
     for j, s in enumerate(sets):
-        cparts = [(p.lo, p.hi) for p in s.parts]
-        refined: dict[int, list] = {}
-        for mask, parts in raw.items():
-            inside, outside = _split_pairs(parts, cparts)
-            if inside:
-                refined[mask | (1 << j)] = inside
-            if outside:
-                refined[mask] = outside
-        raw = refined
-    cells = {
-        mask: IntervalUnion(tuple(Interval(lo, hi) for lo, hi in parts))
-        for mask, parts in raw.items()
-    }
+        bit = 1 << j
+        for p in s.parts:
+            flips[p.lo] = flips.get(p.lo, 0) ^ bit
+            flips[p.hi] = flips.get(p.hi, 0) ^ bit
+    lo, mask = Fraction(0), flips.pop(0, 0)
+    raw: dict[int, list] = {}
+    for x in sorted(flips):
+        raw.setdefault(mask, []).append(Interval(lo, x))
+        lo, mask = x, mask ^ flips[x]
+    cells = {mask: IntervalUnion(parts) for mask, parts in raw.items()}
     return JoinPartition(sets, cells)
 
 

@@ -204,6 +204,24 @@ def test_seed_beyond_64_bits_exits_2(invoke, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, pointer",
+    [(["--seeds", "5-3"], "/seeds"), (["--m-grid", "100,10"], "/m_grid")],
+)
+def test_converge_flags_follow_config_rules(invoke, flags, pointer):
+    code, out, err = invoke(["converge", "--family", "dyadic"] + flags)
+    assert code == 2
+    assert out == ""
+    assert f"config error at {pointer}" in err
+
+
+def test_yseed_beyond_64_bits_exits_1(invoke):
+    code, out, err = invoke(["graph-lift", "--m", "50", "--yseed", str((1 << 64) + 6)])
+    assert code == 1
+    assert out == ""
+    assert "yseed" in err
+
+
 def test_unknown_top_level_key_exits_2(invoke, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"mgrid": [10]}))

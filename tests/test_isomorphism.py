@@ -17,7 +17,6 @@ from ergodic_vc import (
     measure_preservation_defect,
     normalize,
 )
-from ergodic_vc.isomorphism import initial_map, refine
 
 F = Fraction
 
@@ -39,7 +38,7 @@ def probe_strategy():
 
 def test_initial_map_sends_set_to_prefix():
     c = iu("[1/4,1/2) u [3/4,1)")
-    phi = initial_map(c)
+    phi = build_map([c])
     assert phi.stage == 1
     assert phi.image(c) == iu("[0,1/2)")
     assert phi.apply(F(1, 4)) == 0
@@ -48,11 +47,26 @@ def test_initial_map_sends_set_to_prefix():
 
 
 def test_refine_orders_inside_before_outside():
-    phi = initial_map(iu("[1/2,1)"))
-    phi2 = refine(phi, iu("[3/4,1)"))
+    phi2 = build_map([iu("[1/2,1)"), iu("[3/4,1)")])
     assert phi2.stage == 2
     assert phi2.image(iu("[3/4,1)")) == iu("[0,1/4)")
     assert phi2.image(iu("[1/2,3/4)")) == iu("[1/4,1/2)")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(cell_strategy(), min_size=2, max_size=5))
+def test_next_stage_splits_each_block_inside_first(set_cells):
+    sets = [rand_union(cells) for cells in set_cells]
+    for n in range(1, len(sets)):
+        c = sets[n]
+        want = []
+        for p in build_map(sets[:n]).pieces:
+            inside, outside = p.source.intersect(c), p.source.difference(c)
+            if not inside.is_empty:
+                want.append((inside, p.beta))
+            if not outside.is_empty:
+                want.append((outside, p.beta + inside.measure))
+        assert [(q.source, q.beta) for q in build_map(sets[: n + 1]).pieces] == want
 
 
 def test_map_is_bijection_on_probe_points():

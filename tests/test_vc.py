@@ -159,13 +159,21 @@ def test_frozen_k4_witness():
     ]
 
 
+# 1/32 grid points mixed with thirds and fifths; 0 and 1 are in the pool, and
+# sets drawing from one small pool often share endpoints.
+JOIN_CUTS = sorted({F(j, 32) for j in range(33)} | {F(1, 3), F(2, 3)} | {F(j, 5) for j in range(1, 5)})
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 31), min_size=1, max_size=5), min_size=1, max_size=5))
-def test_join_cells_partition_the_interval(member_cells):
-    sets = [
-        normalize([(F(j, 32), F(j + 1, 32)) for j in sorted(set(cells))])
-        for cells in member_cells
-    ]
+@given(
+    st.lists(
+        st.lists(st.tuples(st.sampled_from(JOIN_CUTS), st.sampled_from(JOIN_CUTS)), max_size=5),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_join_cells_partition_the_interval(member_pairs):
+    sets = [normalize(sorted(pair) for pair in pairs) for pairs in member_pairs]
     jp = join(sets)
     total = sum((c.measure for c in jp.cells.values()), F(0))
     assert total == 1
@@ -173,11 +181,14 @@ def test_join_cells_partition_the_interval(member_cells):
     for i, a in enumerate(cells):
         for b in cells[i + 1 :]:
             assert a.intersect(b).is_empty
-    for mask, cell in jp.cells.items():
-        probe = cell.parts[0]
-        x = (probe.lo + probe.hi) / 2
+    for mask in range(1 << len(sets)):
+        ref = iu("[0,1)")
         for bit, s in enumerate(sets):
-            assert ((mask >> bit) & 1) == (1 if x in s else 0)
+            ref = ref.intersect(s if mask >> bit & 1 else s.complement())
+        if ref.is_empty:
+            assert mask not in jp.cells
+        else:
+            assert jp.cells[mask] == ref
 
 
 def test_join_set_count_cap():
