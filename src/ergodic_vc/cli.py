@@ -1,10 +1,15 @@
 """Command line harness: reproducible experiments over every module.
 
-One JSON config file (schema-validated) plus overriding flags per run.
+Each run merges one config: a flag beats ERGODIC_VC_WORKERS (the ``workers``
+key), which beats the JSON config file, which beats the built-in default.
+The merged config passes one schema check before any work starts, so a bad
+flag, environment value or file value alike exits 2 with a JSON pointer;
+JSON reports echo the merged config, and its ``output`` key (or ``--output``)
+redirects the main artifact to a file.
 Exit codes: 0 success, 1 runtime error, 2 bad configuration (message carries
 a JSON-pointer path), 3 resource cap exceeded. Tabular artifacts are CSV
 with exact numerator/denominator columns next to any float column; summary
-output is JSON on stdout. ERGODIC_VC_WORKERS sets the default worker count.
+output is JSON on stdout.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .vc import full_join_witness, join, sauer_bound, shatter_coefficient, vc_di
 
 # Seeds key a 64-bit counter generator; larger seeds would alias smaller ones.
 _SEED_MAX = (1 << 64) - 1
+_PROCESS_KINDS = ["iid-uniform", "rotation", "doubling", "markov"]
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -54,9 +60,8 @@ CONFIG_SCHEMA = {
         "process": {
             "type": "object",
             "additionalProperties": False,
-            "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["iid-uniform", "rotation", "doubling", "markov"]},
+                "kind": {"enum": _PROCESS_KINDS},
                 "seed": {"type": "integer", "minimum": 0, "maximum": _SEED_MAX},
                 "precision": {"type": "integer", "minimum": 64},
                 "params": {"type": "object"},
@@ -65,7 +70,6 @@ CONFIG_SCHEMA = {
         "family": {
             "type": "object",
             "additionalProperties": False,
-            "required": ["name"],
             "properties": {
                 "name": {
                     "enum": ["dyadic", "half", "intervals", "run-pattern", "trajectory"]
@@ -158,63 +162,36 @@ FAMILY_BUILDERS = {
 _DEFAULT_BUDGETS = {"half": 32, "trajectory": 16}
 
 
-def _family_params(args, config) -> dict:
-    params = dict(config.get("family", {}))
-    for key in ("family", "order", "k", "window"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params["name" if key == "family" else key] = value
-    params.setdefault("name", "dyadic")
-    return params
+def _family(config) -> tuple[dict, SetFamily, int]:
+    """Family section (name defaulting to dyadic), the family and its budget."""
+    params = {"name": "dyadic", **config.get("family", {})}
+    fam = FAMILY_BUILDERS[params["name"]](params)
+    budget = params.get("budget", config.get("budget"))
+    if budget is None:
+        budget = fam.size if fam.size is not None else _DEFAULT_BUDGETS.get(params["name"], 32)
+    return params, fam, budget
 
 
-def _family_budget(args, config, params, fam) -> int:
-    for value in (getattr(args, "budget", None), params.get("budget"), config.get("budget")):
-        if value is not None:
-            return int(value)
-    if fam.size is not None:
-        return fam.size
-    return _DEFAULT_BUDGETS.get(params["name"], 32)
+def _seed_precision(config) -> tuple[int, int]:
+    """Process seed and fixed-point bits; top-level precision beats process.precision."""
+    process = config.get("process", {})
+    return process.get("seed", 0), config.get("precision", process.get("precision", 128))
 
 
-def _effective_precision(args, config) -> int:
-    if getattr(args, "precision", None):
-        return args.precision
-    return int(config.get("precision", config.get("process", {}).get("precision", 128)))
-
-
-def _effective_seed(args, config) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(config.get("process", {}).get("seed", 0))
-
-
-def _effective_workers(args, config) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("ERGODIC_VC_WORKERS")
-    if env:
-        return max(1, int(env))
-    return int(config.get("workers", 1))
-
-
-def _process_spec(args, config) -> ProcessSpec:
-    section = dict(config.get("process", {}))
-    kind = getattr(args, "process", None) or section.get("kind", "iid-uniform")
+def _process_spec(config) -> ProcessSpec:
+    section = config.get("process", {})
+    kind = section.get("kind", "iid-uniform")
     params = section.get("params", {})
     if kind == "markov" and not ("matrix" in params and "cells" in params):
         raise ValueError("markov process needs params.matrix and params.cells in the config")
-    merged = {
-        "kind": kind,
-        "seed": _effective_seed(args, config),
-        "precision": _effective_precision(args, config),
-        "params": params,
-    }
-    return ProcessSpec.from_json(merged)
+    seed, precision = _seed_precision(config)
+    return ProcessSpec.from_json(
+        {"kind": kind, "seed": seed, "precision": precision, "params": params}
+    )
 
 
-def _emit(text: str, args) -> None:
-    output = getattr(args, "output", None) or None
+def _emit(text: str, config) -> None:
+    output = config.get("output")
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -231,6 +208,7 @@ def _report(args, command: str, body: dict, config: dict) -> None:
         "command": command,
         "version": __version__,
         "config": config,
+        "wall_time": round(time.perf_counter() - args.started, 3),
         **body,
     }
     print(json.dumps(report, indent=2, sort_keys=True, default=str))
@@ -245,35 +223,19 @@ def _probe_points(order: int) -> list[Fraction]:
 
 
 def _cmd_shatter(args, config) -> int:
-    t0 = time.time()
-    params = _family_params(args, config)
-    fam = FAMILY_BUILDERS[params["name"]](params)
-    upto = _family_budget(args, config, params, fam)
+    params, fam, upto = _family(config)
     if args.points:
         points = [Fraction(tok) for tok in args.points.split(",")]
     else:
         points = _probe_points(int(params.get("order", 4)))
     s = shatter_coefficient(points, fam, upto)
-    _report(
-        args,
-        "shatter",
-        {
-            "family": params["name"],
-            "members": upto,
-            "points": len(points),
-            "shatter": s,
-            "wall_time": round(time.time() - t0, 3),
-        },
-        config,
-    )
+    body = {"family": params["name"], "members": upto, "points": len(points), "shatter": s}
+    _report(args, "shatter", body, config)
     return 0
 
 
 def _cmd_vcdim(args, config) -> int:
-    t0 = time.time()
-    params = _family_params(args, config)
-    fam = FAMILY_BUILDERS[params["name"]](params)
-    upto = _family_budget(args, config, params, fam)
+    params, fam, upto = _family(config)
     probe = _probe_points(int(params.get("order", 4)))
     res = vc_dimension(fam, upto, probe, max_k=args.max_k)
     body = {
@@ -283,14 +245,12 @@ def _cmd_vcdim(args, config) -> int:
         "witness": [str(x) for x in res.witness],
         "at_cap": res.at_cap,
         "sauer_at_dim": sauer_bound(len(probe), res.dim).exact,
-        "wall_time": round(time.time() - t0, 3),
     }
     _report(args, "vcdim", body, config)
     return 0
 
 
 def _cmd_join_witness(args, config) -> int:
-    t0 = time.time()
     if args.set:
         sets = [iu(text) for text in args.set]
         jp = join(sets)
@@ -314,7 +274,6 @@ def _cmd_join_witness(args, config) -> int:
             "shatter": s,
             "shattered": s == 1 << args.k,
         }
-    body["wall_time"] = round(time.time() - t0, 3)
     _report(args, "join-witness", body, config)
     return 0
 
@@ -323,25 +282,15 @@ _CSV_HEADER = "seed,m,gamma_num,gamma_den,gamma_f64,argmax_member"
 
 
 def _cmd_converge(args, config) -> int:
-    t0 = time.time()
-    m_grid = (
-        [int(v) for v in args.m_grid.split(",")]
-        if args.m_grid
-        else config.get("m_grid", [100, 1000])
-    )
-    seeds = _parse_seed_list(args.seeds) if args.seeds else config.get("seeds", [0])
-    problem = _validate_config({"m_grid": m_grid, "seeds": seeds})
-    if problem is not None:
-        return _config_error(problem)
-    params = _family_params(args, config)
+    m_grid = config.get("m_grid", [100, 1000])
+    seeds = config.get("seeds", [0])
+    params, _, upto = _family(config)
     builder = partial(FAMILY_BUILDERS[params["name"]], params)
-    fam = builder()
-    upto = _family_budget(args, config, params, fam)
-    spec = _process_spec(args, config)
-    workers = _effective_workers(args, config)
+    spec = _process_spec(config)
+    workers = config.get("workers", 1)
     bundle = deviation_trace(builder, upto, spec, m_grid, seeds, workers=workers)
-    _emit("\n".join([_CSV_HEADER] + bundle.csv_rows()) + "\n", args)
-    if getattr(args, "output", None):
+    _emit("\n".join([_CSV_HEADER] + bundle.csv_rows()) + "\n", config)
+    if config.get("output"):
         _report(
             args,
             "converge",
@@ -353,7 +302,6 @@ def _cmd_converge(args, config) -> int:
                 "seeds": len(seeds),
                 "median_gamma": [_rat(v) for v in bundle.median_values],
                 "rows": len(seeds) * len(m_grid),
-                "wall_time": round(time.time() - t0, 3),
             },
             config,
         )
@@ -361,8 +309,7 @@ def _cmd_converge(args, config) -> int:
 
 
 def _cmd_counterexample(args, config) -> int:
-    seed = _effective_seed(args, config)
-    precision = _effective_precision(args, config)
+    seed, precision = _seed_precision(config)
     window = args.window
     m_max = args.m
     x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)
@@ -383,14 +330,13 @@ def _cmd_counterexample(args, config) -> int:
             f"{seed},{m},{res.value.numerator},{res.value.denominator},"
             f"{float(res.value)!r},{arg}"
         )
-    _emit("\n".join(rows) + "\n", args)
+    _emit("\n".join(rows) + "\n", config)
     if not constant_one:
         print("warning: deviation left 1; expected the orbit-atom pin", file=sys.stderr)
     return 0
 
 
 def _cmd_isomorphism(args, config) -> int:
-    t0 = time.time()
     if args.set:
         sets = [iu(text) for text in args.set]
         phi = build_map(sets)
@@ -411,26 +357,17 @@ def _cmd_isomorphism(args, config) -> int:
             for j in range(den)
         )
     defect = measure_preservation_defect(phi, probes)
-    body.update(
-        {
-            "pieces": len(phi.pieces),
-            "defect": _rat(defect),
-            "probes": len(probes),
-            "wall_time": round(time.time() - t0, 3),
-        }
-    )
+    body.update({"pieces": len(phi.pieces), "defect": _rat(defect), "probes": len(probes)})
     _report(args, "isomorphism", body, config)
     return 0
 
 
 def _cmd_induced(args, config) -> int:
-    t0 = time.time()
-    seed = _effective_seed(args, config)
-    precision = _effective_precision(args, config)
+    seed, precision = _seed_precision(config)
     region = iu(args.region)
     if region.is_empty:
         raise ValueError("region must have positive measure")
-    kind = args.process or config.get("process", {}).get("kind", "rotation")
+    kind = config.get("process", {}).get("kind", "rotation")
     count = args.count
     m = args.m or count
     need = max(1000, int(count / float(region.measure)) * 3)
@@ -438,7 +375,7 @@ def _cmd_induced(args, config) -> int:
         x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)
         spec = rotation_spec(seed=seed, x0_fixed=x0, precision=precision)
     else:
-        spec = _process_spec(args, config)
+        spec = _process_spec(config)
     path = generate(spec, need)
     ip = induce(path, region, count)
     member = iu(args.member)
@@ -454,15 +391,13 @@ def _cmd_induced(args, config) -> int:
         "identity_lhs": _rat(ident.lhs),
         "identity_rhs": _rat(ident.rhs),
         "identity_holds": ident.holds,
-        "wall_time": round(time.time() - t0, 3),
     }
     _report(args, "induced", body, config)
     return 0
 
 
 def _cmd_graph_lift(args, config) -> int:
-    t0 = time.time()
-    spec = _process_spec(args, config)
+    spec = _process_spec(config)
     m = args.m
     path = generate(spec, m)
     gs = graph_lift(path, yseed=args.yseed)
@@ -480,31 +415,44 @@ def _cmd_graph_lift(args, config) -> int:
         "triangle_ok": split.bound_ok,
         "rate_bound": bound,
         "gamma2_below_bound": float(split.gamma2) <= bound,
-        "wall_time": round(time.time() - t0, 3),
     }
     _report(args, "graph-lift", body, config)
     return 0
 
 
 def _cmd_suite(args, config) -> int:
-    workers = _effective_workers(args, config)
-    report = run_suite(workers=workers)
+    report = run_suite(workers=config.get("workers", 1))
     print(report.table())
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
+    if config.get("output"):
+        with open(config["output"], "w") as fh:
             fh.write(report.csv_text)
     return 0 if report.all_passed else 1
 
 
-def _parse_seed_list(text: str) -> list[int]:
+def _int_or_text(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def _int_list(text: str) -> list:
+    """Comma list of ints; a token that is not an int stays text for the schema."""
+    return [_int_or_text(token) for token in text.split(",")]
+
+
+def _seed_list(text: str) -> list:
+    """Comma list of ints and lo-hi ranges, e.g. '0-9,20'; bad tokens stay text."""
     seeds = []
-    for token in text.split(","):
-        token = token.strip()
-        if "-" in token[1:]:
-            lo, hi = token.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(token))
+    for token in map(str.strip, text.split(",")):
+        try:
+            if "-" in token[1:]:
+                lo, hi = token.split("-", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            else:
+                seeds.append(int(token))
+        except ValueError:
+            seeds.append(token)
     return seeds
 
 
@@ -512,19 +460,21 @@ def _parse_seed_list(text: str) -> list[int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # A flag with a config key takes that key's path as its dest, so main can
+    # merge it into the config before the one schema check.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON experiment config file")
-    common.add_argument("--seed", type=int, help="process seed")
+    common.add_argument("--seed", dest="process.seed", type=int, help="process seed")
     common.add_argument("--precision", type=int, help="fixed-point bits (>= 64)")
-    common.add_argument("--budget", type=int, help="family member budget")
+    common.add_argument("--budget", dest="family.budget", type=int, help="family member budget")
     common.add_argument("--workers", type=int, help="worker process count")
     common.add_argument("--output", help="write the main artifact to this path")
 
     family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", choices=sorted(FAMILY_BUILDERS), help="family name")
-    family.add_argument("--order", type=int, help="family grid order")
-    family.add_argument("--k", type=int, help="family interval/run count")
-    family.add_argument("--window", type=int, help="trajectory window size")
+    family.add_argument("--family", dest="family.name", choices=sorted(FAMILY_BUILDERS), help="family name")
+    family.add_argument("--order", dest="family.order", type=int, help="family grid order")
+    family.add_argument("--k", dest="family.k", type=int, help="family interval/run count")
+    family.add_argument("--window", dest="family.window", type=int, help="trajectory window size")
 
     parser = argparse.ArgumentParser(
         prog="ergodic-vc",
@@ -547,9 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_join_witness)
 
     p = sub.add_parser("converge", parents=[common, family], help="seeded uniform-deviation traces (CSV)")
-    p.add_argument("--process", choices=("iid-uniform", "rotation", "doubling", "markov"))
-    p.add_argument("--m-grid", help="comma-separated ascending sample counts")
-    p.add_argument("--seeds", help="comma or range list, e.g. 0-9,20")
+    p.add_argument("--process", dest="process.kind", choices=_PROCESS_KINDS)
+    p.add_argument("--m-grid", type=_int_list, help="comma-separated ascending sample counts")
+    p.add_argument("--seeds", type=_seed_list, help="comma or range list, e.g. 0-9,20")
     p.set_defaults(handler=_cmd_converge)
 
     p = sub.add_parser("counterexample", parents=[common], help="orbit-atom family pins deviation at 1 (CSV)")
@@ -564,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_isomorphism)
 
     p = sub.add_parser("induced", parents=[common], help="first-return sampling diagnostics")
-    p.add_argument("--process", choices=("iid-uniform", "rotation", "doubling", "markov"))
+    p.add_argument("--process", dest="process.kind", choices=_PROCESS_KINDS)
     p.add_argument("--region", default="[0,1/3)")
     p.add_argument("--member", default="[0,1/6)")
     p.add_argument("--count", type=int, default=100)
@@ -572,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_induced)
 
     p = sub.add_parser("graph-lift", parents=[common], help="auxiliary-uniform lift and deviation split")
-    p.add_argument("--process", choices=("iid-uniform", "rotation", "doubling", "markov"))
+    p.add_argument("--process", dest="process.kind", choices=_PROCESS_KINDS)
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--yseed", type=int, default=1)
     p.set_defaults(handler=_cmd_graph_lift)
@@ -583,16 +533,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _merge_overrides(config, args):
+    """Layer ERGODIC_VC_WORKERS, then every given flag with a config path, onto config."""
+    if not isinstance(config, dict):
+        return config  # the schema reports it at "/"
+    env = os.environ.get("ERGODIC_VC_WORKERS")
+    overrides = [("workers", _int_or_text(env))] if env else []
+    overrides += [
+        (dest, value)
+        for dest, value in vars(args).items()
+        if value is not None and dest.split(".")[0] in CONFIG_SCHEMA["properties"]
+    ]
+    for path, value in overrides:
+        head, _, leaf = path.partition(".")
+        if not leaf:
+            config[head] = value
+        elif isinstance(config.setdefault(head, {}), dict):
+            config[head][leaf] = value
+    return config
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    started = time.perf_counter()
+    args = _build_parser().parse_args(argv)
+    args.started = started
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             return _config_error(f"/: {e}")
+    config = _merge_overrides(config, args)
     problem = _validate_config(config)
     if problem is not None:
         return _config_error(problem)

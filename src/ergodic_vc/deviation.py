@@ -238,15 +238,11 @@ def high_discrepancy_cells(
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
-    sorted_fixed = path.sorted_fixed(m)
     flagged = []
     union = IntervalUnion()
     for mask in sorted(jp.cells):
         cell = jp.cells[mask]
-        piece = cell.intersect(c)
-        hits = piece.count_fixed(sorted_fixed, path.precision)
-        dev = abs(Fraction(hits, m) - piece.measure)
-        if dev > eta / 2 * cell.measure:
+        if discrepancy(cell.intersect(c), path, m) > eta / 2 * cell.measure:
             flagged.append((mask, cell))
             union = union.union(cell)
     return CellOvershoot(tuple(flagged), union, union.measure)
@@ -256,13 +252,10 @@ def cellwise_deviation_sum(
     jp: JoinPartition, c: IntervalUnion, path: SamplePath, m: int
 ) -> Fraction:
     """Sum over cells of the deviation of C n cell (subadditivity majorant)."""
-    sorted_fixed = path.sorted_fixed(m)
-    total = Fraction(0)
-    for mask in sorted(jp.cells):
-        piece = jp.cells[mask].intersect(c)
-        hits = piece.count_fixed(sorted_fixed, path.precision)
-        total += abs(Fraction(hits, m) - piece.measure)
-    return total
+    return sum(
+        (discrepancy(jp.cells[mask].intersect(c), path, m) for mask in sorted(jp.cells)),
+        Fraction(0),
+    )
 
 
 # -- seeded deviation traces ----------------------------------------------------

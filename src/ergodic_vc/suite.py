@@ -115,7 +115,7 @@ def _fan_out(fn, args, workers: int) -> list:
 
 
 def _criterion_sauer() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = 0
     lines = []
     for t in range(500):
@@ -134,7 +134,7 @@ def _criterion_sauer() -> CriterionResult:
         if s > bound:
             violations += 1
         lines.append(f"1,sauer,{t},{p},{fam.size},{s},{v},{bound}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return CriterionResult(
         1,
         "shatter-vs-binomial-bound",
@@ -149,7 +149,7 @@ def _criterion_sauer() -> CriterionResult:
 
 
 def _criterion_join_witness() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     certified = 0
     for k in range(1, 5):
@@ -167,7 +167,7 @@ def _criterion_join_witness() -> CriterionResult:
         "join-witness",
         certified == 4,
         f"{certified}/4 full joins certified shattered",
-        time.time() - t0,
+        time.perf_counter() - t0,
         tuple(lines),
     )
 
@@ -176,7 +176,7 @@ def _criterion_join_witness() -> CriterionResult:
 
 
 def _criterion_dimensions() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
 
@@ -217,7 +217,7 @@ def _criterion_dimensions() -> CriterionResult:
         "known-dimensions",
         bool(ok),
         "dyadic 2; interval unions 2k; unions stay within +3",
-        time.time() - t0,
+        time.perf_counter() - t0,
         tuple(lines),
     )
 
@@ -242,12 +242,12 @@ def _c4_lines(workers: int):
 
 
 def _criterion_ks(workers: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, rows, rot = _c4_lines(workers)
     med100 = statistics.median([r[1] for r in rows])
     med10k = statistics.median([r[2] for r in rows])
     small = sum(1 for r in rows if r[2] <= Fraction(1, 50))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     passed = (
         med100 >= 5 * med10k and small >= 99 and rot <= Fraction(1, 100) and elapsed < 120
     )
@@ -277,7 +277,7 @@ def _c5_lines():
 
 
 def _criterion_counterexample() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, values = _c5_lines()
     passed = all(v == 1 for v in values)
     return CriterionResult(
@@ -285,7 +285,7 @@ def _criterion_counterexample() -> CriterionResult:
         "orbit-atom-family",
         passed,
         "deviation exactly 1 at every m" if passed else "deviation moved off 1",
-        time.time() - t0,
+        time.perf_counter() - t0,
         tuple(lines),
     )
 
@@ -294,7 +294,7 @@ def _criterion_counterexample() -> CriterionResult:
 
 
 def _criterion_straightening() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     for rep in range(10):
@@ -324,7 +324,7 @@ def _criterion_straightening() -> CriterionResult:
         "straightening-exactness",
         bool(ok),
         f"defects 0 on 100 probes, 50 aligned images exact, doubling sup {dev}",
-        time.time() - t0,
+        time.perf_counter() - t0,
         tuple(lines),
     )
 
@@ -333,7 +333,7 @@ def _criterion_straightening() -> CriterionResult:
 
 
 def _criterion_induced() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     holds = 0
     for t in range(1000):
@@ -371,7 +371,7 @@ def _criterion_induced() -> CriterionResult:
         f"{holds}/1000 identities exact, pacing {float(w):.5f}, "
         f"mean return {float(ret):.4f}"
     )
-    return CriterionResult(7, "first-return-identity", passed, detail, time.time() - t0, tuple(lines))
+    return CriterionResult(7, "first-return-identity", passed, detail, time.perf_counter() - t0, tuple(lines))
 
 
 # -- criterion 8: graph-lift reductions ----------------------------------------
@@ -393,7 +393,7 @@ def _c8_lines(workers: int):
 
 
 def _criterion_graph_split(workers: int) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     sandwich_ok = 0
     for seed in range(100):
@@ -416,7 +416,7 @@ def _criterion_graph_split(workers: int) -> CriterionResult:
         f"sandwich {sandwich_ok}/100, triangle exact on all splits, "
         f"{below}/100 under rate bound {bound:.4f}"
     )
-    return CriterionResult(8, "graph-split-bounds", passed, detail, time.time() - t0, tuple(lines))
+    return CriterionResult(8, "graph-split-bounds", passed, detail, time.perf_counter() - t0, tuple(lines))
 
 
 # -- criterion 9: dynamic program matches brute force --------------------------
@@ -437,14 +437,14 @@ def _c9_lines():
 
 
 def _criterion_dp_oracle() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, agree = _c9_lines()
     return CriterionResult(
         9,
         "dp-vs-brute",
         agree,
         f"{len(lines)} instances, exact agreement" if agree else "disagreement found",
-        time.time() - t0,
+        time.perf_counter() - t0,
         tuple(lines),
     )
 
@@ -453,7 +453,7 @@ def _criterion_dp_oracle() -> CriterionResult:
 
 
 def _criterion_determinism(c4_lines, c8_lines) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     serial4, _, _ = _c4_lines(1)
     parallel4, _, _ = _c4_lines(8)
@@ -472,7 +472,7 @@ def _criterion_determinism(c4_lines, c8_lines) -> CriterionResult:
         "determinism",
         passed,
         "serial, parallel and repeated runs byte-identical",
-        time.time() - t0,
+        time.perf_counter() - t0,
         tuple(lines),
     )
 

@@ -2,14 +2,25 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ergodic_vc.cli import CONFIG_SCHEMA, _validate_config, main
+from ergodic_vc.cli import CONFIG_SCHEMA, _build_parser, _validate_config, main
 
 CSV_HEADER = "seed,m,gamma_num,gamma_den,gamma_f64,argmax_member"
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_EXAMPLES = [
+    line.split(maxsplit=1)[1]
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+    for line in block.splitlines()
+    if line.startswith("ergodic-vc ")
+]
 
 
 @pytest.fixture
@@ -206,13 +217,74 @@ def test_seed_beyond_64_bits_exits_2(invoke, tmp_path):
 
 @pytest.mark.parametrize(
     "flags, pointer",
-    [(["--seeds", "5-3"], "/seeds"), (["--m-grid", "100,10"], "/m_grid")],
+    [
+        (["--seeds", "5-3"], "/seeds"),
+        (["--m-grid", "100,10"], "/m_grid"),
+        (["--precision", "0"], "/precision"),
+        (["--precision", "32"], "/precision"),
+        (["--workers", "0"], "/workers"),
+        (["--seed", "-1"], "/process/seed"),
+        (["--budget", "-1"], "/family/budget"),
+        (["--order", "0"], "/family/order"),
+        (["--order", "17"], "/family/order"),
+        (["--m-grid", "10,x"], "/m_grid/1"),
+        (["--seeds", "a,1"], "/seeds/0"),
+    ],
 )
 def test_converge_flags_follow_config_rules(invoke, flags, pointer):
     code, out, err = invoke(["converge", "--family", "dyadic"] + flags)
     assert code == 2
     assert out == ""
     assert f"config error at {pointer}" in err
+
+
+def test_env_workers_follow_config_rules(invoke):
+    code, out, err = invoke(["converge", "--family", "dyadic"], env={"ERGODIC_VC_WORKERS": "0"})
+    assert code == 2
+    assert out == ""
+    assert "config error at /workers" in err
+
+
+def test_config_output_key_writes_artifact(invoke, tmp_path):
+    target = tmp_path / "trace.csv"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"output": str(target)}))
+    code, out, _ = invoke(
+        ["converge", "--config", str(cfg), "--family", "dyadic", "--m-grid", "10", "--seeds", "0"]
+    )
+    assert code == 0
+    assert target.read_text().startswith(CSV_HEADER)
+    assert json.loads(out)["config"]["output"] == str(target)
+
+
+def test_family_section_without_name_uses_dyadic(invoke, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": {"order": 3}}))
+    code, out, _ = invoke(["vcdim", "--config", str(cfg)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["family"] == "dyadic" and report["dim"] == 2
+
+
+def test_report_echoes_merged_config(invoke, monkeypatch):
+    monkeypatch.delenv("ERGODIC_VC_WORKERS", raising=False)
+    code, out, _ = invoke(["vcdim", "--family", "dyadic", "--order", "3"])
+    assert code == 0
+    assert json.loads(out)["config"] == {"family": {"name": "dyadic", "order": 3}}
+
+
+def test_every_config_flag_dest_is_a_schema_path():
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    checked = set()
+    for sub in subparsers.values():
+        for action in sub._actions:
+            head, _, leaf = action.dest.partition(".")
+            if head not in CONFIG_SCHEMA["properties"]:
+                continue
+            node = CONFIG_SCHEMA["properties"][head]
+            assert not leaf or leaf in node["properties"], action.dest
+            checked.add(action.dest)
+    assert {"process.seed", "family.budget", "m_grid", "seeds", "workers"} <= checked
 
 
 def test_yseed_beyond_64_bits_exits_1(invoke):
@@ -303,6 +375,24 @@ def test_flag_beats_env_workers(invoke, monkeypatch):
          "--seeds", "0", "--workers", "1"]
     )
     assert code == 0
+
+
+# -- README examples --------------------------------------------------------------------
+
+
+# suite is left out: the acceptance gate already runs it.
+@pytest.mark.parametrize("example", [e for e in README_EXAMPLES if not e.startswith("suite")])
+def test_readme_cli_example_runs(invoke, tmp_path, monkeypatch, example):
+    monkeypatch.delenv("ERGODIC_VC_WORKERS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(re.search(r"```json\n(.*?)```", README, re.S).group(1))
+    code, _, err = invoke(shlex.split(example))
+    assert code == 0, err
+
+
+def test_readme_examples_are_found():
+    assert len(README_EXAMPLES) >= 9
+    assert "converge --config run.json --workers 4" in README_EXAMPLES
 
 
 # -- console entry point ---------------------------------------------------------------
