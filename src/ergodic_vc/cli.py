@@ -113,6 +113,9 @@ def _validate_config(config) -> str | None:
     grid = config.get("m_grid")
     if grid and any(a >= b for a, b in zip(grid, grid[1:])):
         return "/m_grid: values must be strictly ascending"
+    family = config.get("family", {})
+    if family.get("name") == "run-pattern" and family.get("order", 4) > 4:
+        return "/family/order: run-pattern grids hold 2**order <= 20 points, so order <= 4"
     return None
 
 
@@ -508,8 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_counterexample)
 
     p = sub.add_parser("isomorphism", parents=[common], help="straightening map diagnostics")
-    p.add_argument("--stage", type=int, default=4)
-    p.add_argument("--probe-order", type=int, default=10)
+    # The doubling work grows like 2**order; 20 is the join's set cap.
+    p.add_argument("--stage", type=int, choices=range(1, 21), metavar="1..20", default=4)
+    p.add_argument("--probe-order", type=int, choices=range(1, 21), metavar="1..20", default=10)
     p.add_argument("--set", action="append", help="interval union in DSL form; repeatable")
     p.set_defaults(handler=_cmd_isomorphism)
 

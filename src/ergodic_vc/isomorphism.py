@@ -88,13 +88,18 @@ class PiecewiseTranslation:
     __call__ = apply
 
     def image(self, u: IntervalUnion) -> IntervalUnion:
-        """Exact forward image of a union (valid for any union)."""
+        """Exact forward image of a union (valid for any union).
+
+        Each part is cut by the table rows it meets, found from the row
+        holding its left end, since the rows tile [0, 1) in order.
+        """
         pairs = []
-        for lo, hi, shift in self._table:
-            for part in u.parts:
-                a, b = max(part.lo, lo), min(part.hi, hi)
-                if a < b:
-                    pairs.append((a + shift, b + shift))
+        for part in u.parts:
+            i = bisect_right(self._table, part.lo, key=lambda row: row[0]) - 1
+            for lo, hi, shift in self._table[i:]:
+                if lo >= part.hi:
+                    break
+                pairs.append((max(part.lo, lo) + shift, min(part.hi, hi) + shift))
         return normalize(pairs)
 
     def preimage(self, u: IntervalUnion) -> IntervalUnion:
@@ -157,7 +162,6 @@ def image_of_union(
     cells; for a piecewise translation these are equal as sets, which the
     caller can confirm via the symmetric difference.
     """
-    image_pairs = []
     block_pairs = []
     covered = IntervalUnion()
     for p in phi.pieces:
@@ -166,15 +170,11 @@ def image_of_union(
             continue
         if inter != p.source:
             raise ValueError("set is not aligned with the stage cells")
-        acc = Fraction(0)
-        for part in p.source.parts:
-            image_pairs.append((p.beta + acc, p.beta + acc + part.length))
-            acc += part.length
         block_pairs.append((p.beta, p.beta + p.source.measure))
         covered = covered.union(p.source)
     if covered != c:
         raise ValueError("set is not a union of stage cells")
-    return normalize(image_pairs), normalize(block_pairs)
+    return phi.image(c), normalize(block_pairs)
 
 
 def measure_preservation_defect(phi: PiecewiseTranslation, probes) -> Fraction:

@@ -2,15 +2,15 @@
 
 Everything here is finite and exact: families are evaluated on explicit
 point grids, traces are deduplicated bit masks, and the dimension search is
-an exhaustive scan over subsets of the grid. Results are therefore relative
-to the supplied grid and budget, which the caller chooses.
+a depth-first search that extends only shattered subsets of the grid.
+Results are therefore relative to the supplied grid and budget, which the
+caller chooses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .errors import ResourceLimitError
@@ -33,18 +33,23 @@ class TraceTable:
         return frozenset(self.rows)
 
 
-def trace_table(points, fam: SetFamily, upto: int) -> TraceTable:
-    points = tuple(points)
-    if len(set(points)) != len(points):
-        raise ValueError("duplicate points in ground set")
+def _rows(points, members) -> tuple[int, ...]:
+    """One bit mask over ``points`` per member (bit t set when points[t] lies in it)."""
     rows = []
-    for member in fam.members(upto):
+    for member in members:
         mask = 0
         for t, x in enumerate(points):
             if x in member:
                 mask |= 1 << t
         rows.append(mask)
-    return TraceTable(points, tuple(rows), upto)
+    return tuple(rows)
+
+
+def trace_table(points, fam: SetFamily, upto: int) -> TraceTable:
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        raise ValueError("duplicate points in ground set")
+    return TraceTable(points, _rows(points, fam.members(upto)), upto)
 
 
 def shatter_coefficient(points, fam: SetFamily, upto: int) -> int:
@@ -84,45 +89,39 @@ class VcDimension:
         return f"{prefix}{self.dim}"
 
 
-def _shatters(masks, idxs) -> bool:
-    want = 1 << len(idxs)
-    seen = set()
-    for mask in masks:
-        pattern = 0
-        for t, i in enumerate(idxs):
-            if mask >> i & 1:
-                pattern |= 1 << t
-        seen.add(pattern)
-        if len(seen) == want:
-            return True
-    return False
-
-
 def vc_dimension(fam: SetFamily, upto: int, grid, max_k: int) -> VcDimension:
-    """Exhaustive dimension search relative to ``grid`` and member budget.
+    """Depth-first dimension search relative to ``grid`` and member budget.
 
-    Scans subset sizes upward; stops at the first size with no shattered
-    subset. Distinct membership rows are deduplicated first, which keeps the
-    scan tractable for large budgets.
+    A point set is a bit mask s over the grid, shattered exactly when the
+    distinct trace rows cut it into 2**|s| patterns. Shattered sets are
+    closed under subsets, so the search extends only shattered sets, adding
+    points in index order, and stops at the first set of size
+    min(max_k, len(grid)). It meets the sets of each size in lexicographic
+    order, so the witness is the first shattered set of the largest size.
     """
     grid = tuple(grid)
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    table = trace_table(grid, fam, upto)
-    masks = sorted(table.distinct_rows())
-    dim, witness = 0, ()
-    for k in range(1, min(max_k, len(grid)) + 1):
-        if len(masks) < (1 << k):
-            return VcDimension(dim, witness, False)
-        found = None
-        for idxs in combinations(range(len(grid)), k):
-            if _shatters(masks, idxs):
-                found = idxs
-                break
-        if found is None:
-            return VcDimension(dim, witness, False)
-        dim, witness = k, tuple(grid[i] for i in found)
-    return VcDimension(dim, witness, dim == max_k)
+    masks = trace_table(grid, fam, upto).distinct_rows()
+    top = min(max_k, len(grid))
+    best = ()
+
+    def extend(s: int, idxs: tuple) -> bool:
+        nonlocal best
+        if len(idxs) > len(best):
+            best = idxs
+        if len(best) == top:
+            return True
+        want = 2 << len(idxs)
+        for i in range(idxs[-1] + 1 if idxs else 0, len(grid)):
+            t = s | 1 << i
+            if len({m & t for m in masks}) == want and extend(t, idxs + (i,)):
+                return True
+        return False
+
+    extend(0, ())
+    dim = len(best)
+    return VcDimension(dim, tuple(grid[i] for i in best), dim == max_k)
 
 
 def union_family(name: str, *fams: SetFamily) -> SetFamily:
@@ -201,16 +200,11 @@ def join(sets, cap: int = 20) -> JoinPartition:
 
 
 def is_shattered(points, sets) -> bool:
-    """Direct check: the sets pick out every subset of ``points``."""
-    want = 1 << len(points)
-    seen = set()
-    for s in sets:
-        pattern = 0
-        for t, x in enumerate(points):
-            if x in s:
-                pattern |= 1 << t
-        seen.add(pattern)
-    return len(seen) == want
+    """Direct check: the sets pick out every subset of ``points``.
+
+    A point set with a repeat is simply not shattered.
+    """
+    return len(set(_rows(points, sets))) == 1 << len(points)
 
 
 def full_join_witness(jp: JoinPartition) -> tuple[Fraction, ...]:

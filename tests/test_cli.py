@@ -238,6 +238,28 @@ def test_converge_flags_follow_config_rules(invoke, flags, pointer):
     assert f"config error at {pointer}" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--probe-order", "0"], ["--probe-order", "26"], ["--stage", "0"], ["--stage", "22"]]
+)
+def test_isomorphism_orders_out_of_range_exit_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["isomorphism"] + flags)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "invalid choice" in out.err
+
+
+def test_run_pattern_order_beyond_grid_cap_exits_2(invoke, tmp_path):
+    cfg = tmp_path / "run_pattern.json"
+    cfg.write_text(json.dumps({"family": {"name": "run-pattern", "order": 5}}))
+    for argv in (["vcdim", "--family", "run-pattern", "--order", "5"], ["vcdim", "--config", str(cfg)]):
+        code, out, err = invoke(argv)
+        assert code == 2
+        assert out == ""
+        assert "config error at /family/order" in err
+
+
 def test_env_workers_follow_config_rules(invoke):
     code, out, err = invoke(["converge", "--family", "dyadic"], env={"ERGODIC_VC_WORKERS": "0"})
     assert code == 2

@@ -1,6 +1,7 @@
 """Shatter coefficients, growth bounds, dimension search, joins, witnesses."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -34,11 +35,6 @@ def grid(order):
     return [F(2 * i + 1, den) for i in range(den // 2)]
 
 
-def list_family(members):
-    members = list(members)
-    return SetFamily("listed", lambda i: members[i], size=len(members))
-
-
 def random_union(draw_fixed, cells=4):
     picks = sorted(set(draw_fixed))
     return normalize([(F(j, 64), F(j + 1, 64)) for j in picks])
@@ -62,13 +58,41 @@ def test_shatter_matches_brute_on_dyadic():
 def test_shatter_and_dimension_match_brute(point_cells, member_cells):
     pts = [F(2 * j + 1, 128) for j in sorted(point_cells)]
     sets = [random_union(cells) for cells in member_cells]
-    fam = list_family(sets)
+    fam = SetFamily.of("listed", sets)
     s = shatter_coefficient(pts, fam, fam.size)
     assert s == brute_shatter_coefficient(pts, sets)
     res = vc_dimension(fam, fam.size, pts, max_k=len(pts))
     assert res.dim == brute_vc_dimension(pts, sets, len(pts))
     bound = sauer_bound(len(pts), res.dim).exact
     assert s <= bound
+    firsts = []  # firsts[k - 1]: the lexicographically first shattered k-subset
+    for k in range(1, len(pts) + 1):
+        shattered = (c for c in combinations(pts, k) if brute_shatter_coefficient(c, sets) == 1 << k)
+        first = next(shattered, None)
+        if first is None:
+            break
+        firsts.append(first)
+    for max_k in range(1, len(pts) + 2):
+        res = vc_dimension(fam, fam.size, pts, max_k=max_k)
+        dim = min(max_k, len(firsts))
+        assert res.dim == dim
+        assert res.witness == (firsts[dim - 1] if dim else ())
+        assert res.at_cap == (dim == max_k)
+
+
+@pytest.mark.parametrize("points, upto", [([], 4), (grid(3), 0)])
+def test_dimension_of_empty_grid_or_budget_is_zero(points, upto):
+    fam = dyadic_class(2)
+    res = vc_dimension(fam, upto, points, max_k=3)
+    assert (res.dim, res.witness, res.at_cap) == (0, (), False)
+
+
+def test_repeated_points_are_not_shattered():
+    x = F(1, 4)
+    assert is_shattered([x], [iu("[0,1/2)"), iu("[1/2,1)")])
+    assert not is_shattered([x, x], [iu("[0,1/2)"), iu("[1/2,1)"), iu("[0,1)")])
+    with pytest.raises(ValueError):
+        trace_table([x, x], dyadic_class(1), 2)
 
 
 def test_sauer_bound_values():
@@ -123,7 +147,7 @@ def test_run_pattern_dimension():
 
 def test_union_with_small_family_adds_at_most_log_size():
     base = dyadic_class(3)
-    extra = list_family([iu("[0,1/7)"), iu("[1/7,2/7) u [3/7,5/7)"), iu("[2/3,1)")])
+    extra = SetFamily.of("listed", [iu("[0,1/7)"), iu("[1/7,2/7) u [3/7,5/7)"), iu("[2/3,1)")])
     fam = union_family("both", base, extra)
     pts = grid(5)
     d_base = vc_dimension(base, base.size, pts, max_k=4).dim
@@ -144,7 +168,7 @@ def test_subset_indexed_join_is_full_and_witnessed(k):
     witness = full_join_witness(jp)
     assert len(witness) == k
     assert is_shattered(witness, sets)
-    fam = list_family(sets)
+    fam = SetFamily.of("listed", sets)
     assert shatter_coefficient(witness, fam, fam.size) == 1 << k
 
 
