@@ -33,7 +33,6 @@ from .deviation import (
     ks_statistic,
     max_deviation_k_intervals,
     uniform_deviation,
-    uniform_deviation_stable,
 )
 from .errors import InsufficientDataError, ParseError, ResourceLimitError
 from .families import (

@@ -30,7 +30,7 @@ from .errors import ResourceLimitError
 from .families import dyadic_class, half_interval_class, k_interval_class, run_pattern_class, subset_indexed_sets
 from .functions import PiecewiseFn, gamma_split, graph_lift, lm_bound, ramp_family
 from .induced import frequency_transfer_identity, induce, kac_ratio, mean_return_time
-from .intervals import Interval, IntervalUnion, SetFamily, iu
+from .intervals import SetFamily, iu
 from .isomorphism import (
     build_map,
     doubling_map,
@@ -352,13 +352,7 @@ def _cmd_isomorphism(args, config) -> int:
             "doubling_sup": _rat(dev),
             "doubling_grid": 1 << args.probe_order,
         }
-    probes = []
-    for order in range(1, 7):
-        den = 1 << order
-        probes.extend(
-            IntervalUnion((Interval(Fraction(j, den), Fraction(j + 1, den)),))
-            for j in range(den)
-        )
+    probes = list(dyadic_class(6).members(126))
     defect = measure_preservation_defect(phi, probes)
     body.update({"pieces": len(phi.pieces), "defect": _rat(defect), "probes": len(probes)})
     _report(args, "isomorphism", body, config)

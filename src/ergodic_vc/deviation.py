@@ -65,29 +65,6 @@ def uniform_deviation(fam: SetFamily, upto: int, path: SamplePath, m: int) -> De
     return DeviationResult(best, argmax, upto)
 
 
-def uniform_deviation_stable(
-    fam: SetFamily, path: SamplePath, m: int, start_budget: int = 16, max_budget: int = 1 << 14
-) -> DeviationResult:
-    """Double the budget until the supremum stops changing.
-
-    A practical stopping rule for countable families; the returned budget is
-    the first one whose doubling left the value unchanged.
-    """
-    budget = start_budget
-    if fam.size is not None:
-        budget = min(budget, fam.size)
-    current = uniform_deviation(fam, budget, path, m)
-    while budget < max_budget and (fam.size is None or budget < fam.size):
-        doubled = budget * 2
-        if fam.size is not None:
-            doubled = min(doubled, fam.size)
-        nxt = uniform_deviation(fam, doubled, path, m)
-        if nxt.value == current.value:
-            return DeviationResult(current.value, current.argmax, budget)
-        current, budget = nxt, doubled
-    return current
-
-
 def ks_statistic(path: SamplePath, m: int) -> Fraction:
     """Exact sup_t |#{x_i < t}/m - t| from the order statistics.
 

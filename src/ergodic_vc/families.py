@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .intervals import Interval, IntervalUnion, SetFamily
+from .intervals import IntervalUnion, SetFamily, normalize
 
 
 def dyadic_class(max_order: int) -> SetFamily:
@@ -25,8 +25,7 @@ def dyadic_class(max_order: int) -> SetFamily:
     def member(i: int) -> IntervalUnion:
         for o, s in enumerate(sizes, start=1):
             if i < s:
-                den = 1 << o
-                return IntervalUnion((Interval(Fraction(i, den), Fraction(i + 1, den)),))
+                return IntervalUnion.from_ends(1 << o, (i, i + 1))
             i -= s
         raise IndexError(i)
 
@@ -45,8 +44,7 @@ def half_interval_class() -> SetFamily:
         while i >= (1 << (order - 1)):
             i -= 1 << (order - 1)
             order += 1
-        t = Fraction(2 * i + 1, 1 << order)
-        return IntervalUnion((Interval(Fraction(0), t),))
+        return IntervalUnion.from_ends(1 << order, (0, 2 * i + 1))
 
     return SetFamily("half-intervals", member, None)
 
@@ -86,12 +84,7 @@ def k_interval_class(k: int, order: int) -> SetFamily:
         i -= 1
         for t, c in enumerate(counts, start=1):
             if i < c:
-                idxs = _unrank_combination(n_endpoints, 2 * t, i)
-                parts = tuple(
-                    Interval(Fraction(idxs[2 * j], den), Fraction(idxs[2 * j + 1], den))
-                    for j in range(t)
-                )
-                return IntervalUnion(parts)
+                return IntervalUnion.from_ends(den, _unrank_combination(n_endpoints, 2 * t, i))
             i -= c
         raise IndexError(i)
 
@@ -104,21 +97,16 @@ def subset_indexed_sets(k: int) -> list[IntervalUnion]:
     Cell j of the grid (j = 0 .. N - 1, N = 2**(2**k)) is placed in set u
     exactly when bit u of j is set, so the cells realize every sign pattern
     and a point of cell j lies in set u iff bit u of j is set. Those cells
-    form the runs [(2t + 1) 2**u, (2t + 2) 2**u), so set u is built directly
-    as the union of [(2t + 1) 2**u / N, (2t + 2) 2**u / N). Feasible for
-    k <= 4; the k = 4 instance already has 65536 cells.
+    form the runs [(2t + 1) 2**u, (2t + 2) 2**u), so the ends of set u are
+    the multiples of 2**u from 2**u to N, over N. Feasible for k <= 4; the
+    k = 4 instance already has 65536 cells.
     """
     if not 1 <= k <= 4:
         raise ValueError("subset-indexed construction supports 1 <= k <= 4")
     n_sets = 1 << k
     n_cells = 1 << n_sets
     return [
-        IntervalUnion(
-            tuple(
-                Interval(Fraction((2 * t + 1) << u, n_cells), Fraction((2 * t + 2) << u, n_cells))
-                for t in range(n_cells >> (u + 1))
-            )
-        )
+        IntervalUnion.from_ends(n_cells, range(1 << u, n_cells + 1, 1 << u))
         for u in range(n_sets)
     ]
 
@@ -155,16 +143,6 @@ def run_pattern_class(k: int, grid) -> SetFamily:
 
     def member(i: int) -> IntervalUnion:
         mask = masks[i]
-        parts = []
-        t = 0
-        while t < n:
-            if mask >> t & 1:
-                start = t
-                while t < n and mask >> t & 1:
-                    t += 1
-                parts.append(Interval(bounds[start], bounds[t]))
-            else:
-                t += 1
-        return IntervalUnion(tuple(parts))
+        return normalize((bounds[t], bounds[t + 1]) for t in range(n) if mask >> t & 1)
 
     return SetFamily(f"run-patterns({k},n={n})", member, len(masks))

@@ -396,10 +396,6 @@ class GraphSample:
     def __len__(self) -> int:
         return len(self.yfixed)
 
-    def pairs(self, m: int) -> list[tuple[int, int]]:
-        self._require(m)
-        return list(zip(self.path.fixed[:m], self.yfixed[:m]))
-
     def _require(self, m: int) -> None:
         if m < 1:
             raise ValueError("m must be >= 1")

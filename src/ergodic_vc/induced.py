@@ -16,12 +16,13 @@ arrive at the Kac rate 1/lambda(A).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientDataError
 from .deviation import DeviationResult, _sup_deviation
-from .intervals import IntervalUnion, SetFamily, ceil_fixed
+from .intervals import IntervalUnion, SetFamily
 from .processes import AtomSet, SamplePath
 
 
@@ -60,18 +61,13 @@ def induce(path: SamplePath, region: IntervalUnion, count: int) -> InducedPath:
         raise ValueError("region must have positive measure")
     if count < 1:
         raise ValueError("count must be >= 1")
-    thresholds = [
-        (ceil_fixed(part.lo, path.precision), ceil_fixed(part.hi, path.precision))
-        for part in region.parts
-    ]
+    thresholds = region.thresholds(path.precision)
     hits = []
     for i, n in enumerate(path.fixed, start=1):
-        for lo, hi in thresholds:
-            if lo <= n < hi:
-                hits.append(i)
+        if bisect_right(thresholds, n) % 2:
+            hits.append(i)
+            if len(hits) == count:
                 break
-        if len(hits) == count:
-            break
     if len(hits) < count:
         raise InsufficientDataError(
             f"only {len(hits)} of {count} returns observed", len(hits)

@@ -1,9 +1,16 @@
 """Exact set algebra for finite unions of half-open subintervals of [0, 1).
 
-Endpoints are arbitrary-precision rationals (``fractions.Fraction``), so
-measures, intersections and symmetric differences are computed without any
-rounding. The half-open convention [lo, hi) makes refinements genuine
-partitions: no point is counted twice, and single points carry measure zero.
+A union is stored as one positive denominator ``den`` and a flat ascending
+tuple ``ends`` of integers, lo_0 < hi_0 < lo_1 < ..., both reduced by their
+gcd, so equal sets have equal fields and measures, intersections and
+symmetric differences are computed without any rounding. The half-open
+convention [lo, hi) makes refinements genuine partitions: no point is
+counted twice, and single points carry measure zero.
+
+Every boolean operation, ``normalize`` and ``vc.join`` run one endpoint
+sweep (``segments``): the operands are rescaled to the lcm of their
+denominators, each end becomes a signed step, and walking the steps in
+order gives each segment's membership mask.
 
 A small text form is supported for configs and reports::
 
@@ -17,22 +24,24 @@ union prints and parses as the empty string).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
-
-Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def ceil_fixed(x: Fraction, precision: int) -> int:
-    """Least numerator n with n / 2**precision >= x (exact threshold)."""
-    return -((-x.numerator << precision) // x.denominator)
+def ceil_fixed(x, precision: int, den: int = 1) -> int:
+    """Least numerator n with n / 2**precision >= x / den (exact threshold).
+
+    ``x`` is a Fraction or an int.
+    """
+    return -((-x.numerator << precision) // (x.denominator * den))
 
 
 def _check_endpoint(x: Fraction) -> Fraction:
@@ -68,38 +77,67 @@ class Interval:
 class IntervalUnion:
     """Normalized finite union of disjoint, non-touching half-open intervals.
 
+    The union is [ends[0]/den, ends[1]/den) u [ends[2]/den, ends[3]/den) u
+    ...; ``parts`` builds those ``Interval``s on demand. ``IntervalUnion(parts)``
+    takes normalized ``Interval``s and ``from_ends`` takes the integer form.
     Instances are immutable and hashable; all boolean operations return new
     normalized unions and are safe to share across threads or processes.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("den", "ends")
 
     def __init__(self, parts: Sequence[Interval] = ()):
-        parts = tuple(parts)
-        for a, b in zip(parts, parts[1:]):
-            if a.hi >= b.lo:
-                raise ValueError(f"parts not normalized: {a} then {b}")
-        object.__setattr__(self, "parts", parts)
+        rats = [x for p in parts for x in (p.lo, p.hi)]
+        den = lcm(*(x.denominator for x in rats))
+        self._set(den, [x.numerator * (den // x.denominator) for x in rats])
+
+    @classmethod
+    def from_ends(cls, den: int, ends: Iterable[int]) -> "IntervalUnion":
+        """The union of [ends[2i]/den, ends[2i+1]/den); ends strictly ascending in [0, den]."""
+        u = cls.__new__(cls)
+        u._set(den, ends)
+        return u
+
+    def _set(self, den: int, ends) -> None:
+        ends = tuple(ends)
+        if den < 1 or len(ends) % 2:
+            raise ValueError(f"need den >= 1 and an even number of ends, got {den}, {len(ends)}")
+        if ends and not (0 <= ends[0] and ends[-1] <= den):
+            raise ValueError(f"ends outside [0, {den}]")
+        if any(a >= b for a, b in zip(ends, ends[1:])):
+            raise ValueError("parts not normalized: ends must be strictly ascending")
+        g = gcd(den, *ends)
+        if g > 1:
+            den, ends = den // g, tuple(e // g for e in ends)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ends", ends)
 
     # -- basic queries ----------------------------------------------------
 
     @property
+    def parts(self) -> tuple[Interval, ...]:
+        e, d = self.ends, self.den
+        return tuple(Interval(Fraction(e[i], d), Fraction(e[i + 1], d)) for i in range(0, len(e), 2))
+
+    @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.ends
 
     @property
     def measure(self) -> Fraction:
-        return sum((p.length for p in self.parts), ZERO)
+        return Fraction(sum(self.ends[1::2]) - sum(self.ends[::2]), self.den)
 
     def __contains__(self, x) -> bool:
-        i = bisect_right(self.parts, x, key=lambda p: p.lo)
-        return i > 0 and x < self.parts[i - 1].hi
+        # x lies inside when an odd number of ends are <= floor(x * den).
+        return bisect_right(self.ends, x.numerator * self.den // x.denominator) % 2 == 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalUnion) and self.parts == other.parts
+        return (
+            isinstance(other, IntervalUnion) and self.den == other.den and self.ends == other.ends
+        )
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return hash((self.den, self.ends))
 
     def __str__(self) -> str:
         return " u ".join(str(p) for p in self.parts)
@@ -111,45 +149,19 @@ class IntervalUnion:
 
     def complement(self) -> "IntervalUnion":
         """Complement within the unit interval [0, 1)."""
-        out = []
-        prev = ZERO
-        for p in self.parts:
-            if prev < p.lo:
-                out.append(Interval(prev, p.lo))
-            prev = p.hi
-        if prev < ONE:
-            out.append(Interval(prev, ONE))
-        return IntervalUnion(out)
+        return _kept(*segments((self,)), lambda mask: mask == 0)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        a, b = self.parts, other.parts
-        if len(a) > len(b):
-            a, b = b, a
-        # Windowed scan keeps tiny-set x huge-set intersections cheap.
-        out = []
-        for p in a:
-            i = bisect_right(b, p.lo, key=lambda q: q.lo)
-            if i > 0:
-                i -= 1
-            while i < len(b) and b[i].lo < p.hi:
-                lo = max(p.lo, b[i].lo)
-                hi = min(p.hi, b[i].hi)
-                if lo < hi:
-                    out.append(Interval(lo, hi))
-                i += 1
-        out.sort(key=lambda q: q.lo)
-        return IntervalUnion(out)
+        return _kept(*segments((self, other)), lambda mask: mask == 3)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return normalize(
-            [(p.lo, p.hi) for p in self.parts] + [(p.lo, p.hi) for p in other.parts]
-        )
+        return _kept(*segments((self, other)), lambda mask: mask != 0)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.intersect(other.complement())
+        return _kept(*segments((self, other)), lambda mask: mask == 1)
 
     def symmetric_difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.difference(other).union(other.difference(self))
+        return _kept(*segments((self, other)), lambda mask: mask in (1, 2))
 
     __and__ = intersect
     __or__ = union
@@ -161,48 +173,98 @@ class IntervalUnion:
 
     # -- exact point counting ----------------------------------------------
 
+    def thresholds(self, precision: int) -> list[int]:
+        """``ceil_fixed`` of every end, at the given precision.
+
+        The point n / 2**precision lies in the union exactly when an odd
+        number of thresholds are <= n.
+        """
+        return [ceil_fixed(e, precision, self.den) for e in self.ends]
+
     def count_fixed(self, sorted_fixed: Sequence[int], precision: int) -> int:
         """Count dyadic points n / 2**precision lying in the union.
 
         ``sorted_fixed`` must be ascending numerators at the given precision.
         Comparisons against rational endpoints are exact.
         """
-        total = 0
-        for p in self.parts:
-            lo = ceil_fixed(p.lo, precision)
-            hi = ceil_fixed(p.hi, precision)
-            total += bisect_right(sorted_fixed, hi - 1) - bisect_right(sorted_fixed, lo - 1)
+        total, sign = 0, -1
+        for t in self.thresholds(precision):
+            total += sign * bisect_left(sorted_fixed, t)
+            sign = -sign
         return total
 
 
 EMPTY = IntervalUnion()
-FULL = IntervalUnion((Interval(ZERO, ONE),))
+FULL = IntervalUnion.from_ends(1, (0, 1))
+
+
+def _walk(den: int, steps: dict[int, int]) -> Iterator[tuple[int, int, int]]:
+    """Segments (lo, hi, total) tiling [0, den) between the step keys.
+
+    ``total`` is the sum of the steps at keys <= lo, so the segment before
+    the first key has total 0.
+    """
+    lo = total = 0
+    for x in sorted(steps):
+        if x > lo:
+            yield lo, x, total
+        total += steps[x]
+        lo = x
+    if lo < den:
+        yield lo, den, total
+
+
+def segments(sets: Sequence[IntervalUnion]) -> tuple[int, Iterator[tuple[int, int, int]]]:
+    """The one endpoint sweep: (den, segments) for the sets at a common den.
+
+    ``den`` is the lcm of the sets' denominators. A step of +2**j at each lo
+    of sets[j] and -2**j at each hi, summed in key order, gives each
+    segment's membership mask, so the segments (lo, hi, mask) tile [0, 1)
+    in units of 1/den and bit j of mask is set when [lo/den, hi/den) lies in
+    sets[j]. Every key below den flips some bit, since a normalized union
+    never has two ends at one point.
+    """
+    den = lcm(*(s.den for s in sets))
+    steps: dict[int, int] = {}
+    for j, s in enumerate(sets):
+        scale, bit = den // s.den, 1 << j
+        for e in s.ends[::2]:
+            steps[e * scale] = steps.get(e * scale, 0) + bit
+        for e in s.ends[1::2]:
+            steps[e * scale] = steps.get(e * scale, 0) - bit
+    return den, _walk(den, steps)
+
+
+def _kept(den: int, segs, keep: Callable[[int], bool]) -> IntervalUnion:
+    """The union of the segments whose total passes ``keep``, touching ones merged."""
+    ends: list[int] = []
+    for lo, hi, total in segs:
+        if keep(total):
+            if ends and ends[-1] == lo:
+                ends[-1] = hi
+            else:
+                ends += (lo, hi)
+    return IntervalUnion.from_ends(den, ends)
 
 
 def normalize(pairs: Iterable[tuple]) -> IntervalUnion:
-    """Sort raw (lo, hi) pairs, merge overlaps and touching parts.
+    """Union of raw rational (lo, hi) pairs, by the same sweep with weight 1 each.
 
-    Degenerate pairs with lo == hi are dropped; lo > hi or endpoints outside
-    [0, 1] raise ValueError.
+    Overlapping and touching pairs merge and pairs with lo == hi vanish;
+    lo > hi or endpoints outside [0, 1] raise ValueError.
     """
-    cleaned = []
+    pairs = list(pairs)
+    den = lcm(*(x.denominator for pair in pairs for x in pair))
+    steps: dict[int, int] = {}
     for lo, hi in pairs:
-        lo, hi = Fraction(lo), Fraction(hi)
-        _check_endpoint(lo)
-        _check_endpoint(hi)
-        if lo > hi:
+        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        if not (0 <= a <= den and 0 <= b <= den):
+            raise ValueError(f"endpoint outside [0, 1] in [{lo}, {hi})")
+        if a > b:
             raise ValueError(f"interval [{lo}, {hi}) has lo > hi")
-        if lo < hi:
-            cleaned.append((lo, hi))
-    cleaned.sort()
-    merged: list[list[Fraction]] = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged))
+        steps[a] = steps.get(a, 0) + 1
+        steps[b] = steps.get(b, 0) - 1
+    return _kept(den, _walk(den, steps), lambda count: count > 0)
 
 
 # -- text form --------------------------------------------------------------

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import Interval, IntervalUnion, normalize, parse_union
+from .intervals import IntervalUnion, normalize, parse_union
 from .vc import join
 
 
@@ -35,11 +35,11 @@ class PiecewiseTranslation:
     """Invertible rearrangement of [0, 1) by translations of interval parts.
 
     ``pieces`` hold stage cells in image order; a flattened translation
-    table drives point evaluation and exact preimages. Instances are
-    immutable.
+    table drives point evaluation and exact images, and its inverse exact
+    preimages. Instances are immutable.
     """
 
-    __slots__ = ("pieces", "stage", "_table")
+    __slots__ = ("pieces", "stage", "_table", "_inverse")
 
     def __init__(self, pieces, stage: int):
         pieces = tuple(pieces)
@@ -71,6 +71,9 @@ class PiecewiseTranslation:
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "stage", stage)
         object.__setattr__(self, "_table", tuple(table))
+        # The image rows tile [0, 1) as well, since the map is a bijection.
+        inverse = sorted((lo + s, hi + s, -s) for lo, hi, s in table)
+        object.__setattr__(self, "_inverse", tuple(inverse))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("PiecewiseTranslation is immutable")
@@ -88,29 +91,12 @@ class PiecewiseTranslation:
     __call__ = apply
 
     def image(self, u: IntervalUnion) -> IntervalUnion:
-        """Exact forward image of a union (valid for any union).
-
-        Each part is cut by the table rows it meets, found from the row
-        holding its left end, since the rows tile [0, 1) in order.
-        """
-        pairs = []
-        for part in u.parts:
-            i = bisect_right(self._table, part.lo, key=lambda row: row[0]) - 1
-            for lo, hi, shift in self._table[i:]:
-                if lo >= part.hi:
-                    break
-                pairs.append((max(part.lo, lo) + shift, min(part.hi, hi) + shift))
-        return normalize(pairs)
+        """Exact forward image of a union (valid for any union)."""
+        return _translate(self._table, u)
 
     def preimage(self, u: IntervalUnion) -> IntervalUnion:
-        pairs = []
-        for lo, hi, shift in self._table:
-            ilo, ihi = lo + shift, hi + shift
-            for part in u.parts:
-                a, b = max(part.lo, ilo), min(part.hi, ihi)
-                if a < b:
-                    pairs.append((a - shift, b - shift))
-        return normalize(pairs)
+        """Exact preimage of a union, by the inverse table."""
+        return _translate(self._inverse, u)
 
     def to_json(self) -> dict:
         return {
@@ -130,6 +116,22 @@ class PiecewiseTranslation:
             Piece(parse_union(p["source"]), Fraction(p["beta"])) for p in obj["pieces"]
         ]
         return PiecewiseTranslation(pieces, int(obj["stage"]))
+
+
+def _translate(table, u: IntervalUnion) -> IntervalUnion:
+    """Shift each part of ``u`` by the rows of ``table`` it meets.
+
+    The rows (lo, hi, shift) tile [0, 1) in order, so each part starts at
+    the row holding its left end and steps through the following rows.
+    """
+    pairs = []
+    for part in u.parts:
+        i = bisect_right(table, part.lo, key=lambda row: row[0]) - 1
+        while i < len(table) and table[i][0] < part.hi:
+            lo, hi, shift = table[i]
+            pairs.append((max(part.lo, lo) + shift, min(part.hi, hi) + shift))
+            i += 1
+    return normalize(pairs)
 
 
 def build_map(sets) -> PiecewiseTranslation:
@@ -194,11 +196,7 @@ def doubling_comb(i: int) -> IntervalUnion:
     """Union of the even order-(i+1) dyadic intervals (fixes binary digit i+1)."""
     if i < 1:
         raise ValueError("stage index starts at 1")
-    den = 1 << (i + 1)
-    parts = tuple(
-        Interval(Fraction(2 * j, den), Fraction(2 * j + 1, den)) for j in range(den // 2)
-    )
-    return IntervalUnion(parts)
+    return IntervalUnion.from_ends(1 << (i + 1), range(1 << (i + 1)))
 
 
 def doubling_map(n: int) -> PiecewiseTranslation:

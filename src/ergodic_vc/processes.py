@@ -285,6 +285,8 @@ def _markov_fixed(spec: ProcessSpec, count: int) -> list[int]:
     precision = spec.precision
     scale = 1 << precision
     pi = stationary_distribution(matrix)
+    cell_parts = [c.parts for c in cells]
+    measures = [c.measure for c in cells]
 
     def pick(dist, u_fixed):
         # Exact categorical draw: find least s with u < cumsum(dist)[s].
@@ -296,15 +298,14 @@ def _markov_fixed(spec: ProcessSpec, count: int) -> list[int]:
         return len(dist) - 1
 
     def emit(state, v_fixed):
-        cell = cells[state]
-        pos = Fraction(v_fixed, scale) * cell.measure
+        parts = cell_parts[state]
+        pos = Fraction(v_fixed, scale) * measures[state]
         acc = Fraction(0)
-        for part in cell.parts:
+        for part in parts:
             if pos < acc + part.length:
                 return _rat_to_fixed_floor(part.lo + (pos - acc), precision)
             acc += part.length
-        last = cell.parts[-1]
-        return _rat_to_fixed_floor(last.hi, precision) - 1
+        return _rat_to_fixed_floor(parts[-1].hi, precision) - 1
 
     out = []
     state = pick(pi, fixed_uniform(spec.seed, DOMAIN_MARKOV_STATE, 0, precision))

@@ -14,6 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .deviation import ks_statistic, max_deviation_k_intervals, uniform_deviation
 from .errors import InsufficientDataError
@@ -309,9 +310,7 @@ def _criterion_straightening() -> CriterionResult:
             picked = [p.source for p in phi.pieces if d.next(2)]
             if not picked:
                 picked = [phi.pieces[0].source]
-            aligned = normalize(
-                [(part.lo, part.hi) for src in picked for part in src.parts]
-            )
+            aligned = reduce(IntervalUnion.union, picked)
             image, blocks = image_of_union(phi, aligned)
             sym = image.symmetric_difference(blocks).measure
             ok &= sym == 0

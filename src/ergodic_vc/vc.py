@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ResourceLimitError
-from .intervals import Interval, IntervalUnion, SetFamily
+from .intervals import IntervalUnion, SetFamily, segments
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,9 @@ class JoinPartition:
 def join(sets, cap: int = 20) -> JoinPartition:
     """Common refinement of the sets into sign-labelled cells, by one sweep.
 
-    Each endpoint is keyed to the XOR of ``1 << j`` over the sets j with an
-    endpoint there, so crossing it flips exactly those membership bits.
-    Walking the keys in order, each elementary segment [lo, x) joins the cell
-    of the current mask. A normalized union never has two endpoints at one
-    point, so every key below 1 flips some bit: neighbouring segments differ
-    in mask and each cell's parts come out sorted and non-touching.
+    Each segment of ``intervals.segments`` joins the cell of its mask.
+    Neighbouring segments differ in mask, so each cell's parts come out
+    sorted and non-touching.
 
     Cells partition [0, 1) exactly; empty cells are absent. ``cap`` bounds
     the number of input sets, since the cell count can reach 2**len(sets).
@@ -184,18 +181,11 @@ def join(sets, cap: int = 20) -> JoinPartition:
     sets = tuple(sets)
     if len(sets) > cap:
         raise ResourceLimitError(f"join of {len(sets)} sets exceeds cap {cap}")
-    flips = {Fraction(1): 0}
-    for j, s in enumerate(sets):
-        bit = 1 << j
-        for p in s.parts:
-            flips[p.lo] = flips.get(p.lo, 0) ^ bit
-            flips[p.hi] = flips.get(p.hi, 0) ^ bit
-    lo, mask = Fraction(0), flips.pop(0, 0)
+    den, segs = segments(sets)
     raw: dict[int, list] = {}
-    for x in sorted(flips):
-        raw.setdefault(mask, []).append(Interval(lo, x))
-        lo, mask = x, mask ^ flips[x]
-    cells = {mask: IntervalUnion(parts) for mask, parts in raw.items()}
+    for lo, hi, mask in segs:
+        raw.setdefault(mask, []).extend((lo, hi))
+    cells = {mask: IntervalUnion.from_ends(den, ends) for mask, ends in raw.items()}
     return JoinPartition(sets, cells)
 
 

@@ -6,9 +6,14 @@ Criterion 10 runs the full suite twice more and byte-compares the exact CSV
 artifact across repeated runs and across 1 vs 8 workers.
 """
 
+import hashlib
+
 import pytest
 
 from ergodic_vc import run_suite
+
+# sha256 of the suite CSV; any change to an exact result changes it.
+SUITE_CSV_SHA256 = "7fc7eb9b409ca0eace57269e501747faf4965de68f2222246ef841fb5a0c4c19"
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +74,7 @@ def test_criterion_10_suite_byte_determinism(suite):
     assert suite.csv_text == again.csv_text, "repeated serial runs differ"
     assert suite.csv_text == parallel.csv_text, "1 vs 8 workers differ"
     print("PASS 10 full-artifact bytes identical across runs and worker counts")
+
+
+def test_suite_csv_matches_pinned_digest(suite):
+    assert hashlib.sha256(suite.csv_text.encode()).hexdigest() == SUITE_CSV_SHA256

@@ -15,7 +15,6 @@ from ergodic_vc import (
     dyadic_class,
     generate,
     high_discrepancy_cells,
-    half_interval_class,
     iid_spec,
     iu,
     join,
@@ -24,7 +23,6 @@ from ergodic_vc import (
     rotation_spec,
     subset_indexed_sets,
     uniform_deviation,
-    uniform_deviation_stable,
 )
 from ergodic_vc.families import half_interval_class as _half
 from ergodic_vc.oracles import brute_k_interval_sup
@@ -74,14 +72,6 @@ def test_uniform_deviation_monotone_in_budget():
     path = generate(iid_spec(3), 200)
     values = [uniform_deviation(fam, b, path, 200).value for b in (2, 6, 14, 30)]
     assert values == sorted(values)
-
-
-def test_stable_budget_doubling_on_countable_family():
-    fam = half_interval_class()
-    path = generate(iid_spec(4), 500)
-    res = uniform_deviation_stable(fam, path, 500, start_budget=16, max_budget=1 << 12)
-    direct = uniform_deviation(fam, 2 * res.budget, path, 500)
-    assert res.value == direct.value
 
 
 # -- KS statistic ---------------------------------------------------------------

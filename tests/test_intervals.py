@@ -111,6 +111,82 @@ def test_membership_consistent_with_operations(pairs, x):
     assert (x in u) != (x in c)
 
 
+# 1/64-grid points mixed with thirds and fifths, 0 and 1 included, so
+# operands need a common denominator and results need gcd reduction.
+POOL = sorted({F(i, 64) for i in range(65)} | {F(i, 3) for i in range(4)} | {F(i, 5) for i in range(6)})
+
+
+@st.composite
+def raw_pairs(draw):
+    """Raw (lo, hi) pairs: random ones, which overlap or are degenerate, plus a touching chain."""
+    points = st.sampled_from(POOL)
+    pairs = [tuple(sorted(p)) for p in draw(st.lists(st.tuples(points, points), max_size=5))]
+    chain = sorted(draw(st.lists(points, max_size=4)))
+    return pairs + list(zip(chain, chain[1:]))
+
+
+def _covered(pairs):
+    return lambda x: any(lo <= x < hi for lo, hi in pairs)
+
+
+@given(raw_pairs(), raw_pairs())
+def test_sweep_matches_pointwise_boolean_algebra(pa, pb):
+    a, b = normalize(pa), normalize(pb)
+    in_a, in_b = _covered(pa), _covered(pb)
+    cases = [
+        (a, in_a),
+        (b, in_b),
+        (a.complement(), lambda x: 0 <= x < 1 and not in_a(x)),
+        (a.intersect(b), lambda x: in_a(x) and in_b(x)),
+        (a.union(b), lambda x: in_a(x) or in_b(x)),
+        (a.difference(b), lambda x: in_a(x) and not in_b(x)),
+        (a.symmetric_difference(b), lambda x: in_a(x) != in_b(x)),
+    ]
+    ends = sorted({F(0), F(1)} | {x for pair in pa + pb for x in pair})
+    probes = ends + [(x + y) / 2 for x, y in zip(ends, ends[1:])] + [F(-1, 7), F(8, 7)]
+    for result, inside in cases:
+        parts = result.parts
+        assert all(p.hi < q.lo for p, q in zip(parts, parts[1:]))
+        assert [x for x in probes if x in result] == [x for x in probes if inside(x)]
+        again = iu(str(result))
+        assert again == result and hash(again) == hash(result)
+
+
+def test_equal_sets_from_different_denominators_are_equal():
+    half = iu("[0,1/2)")
+    for other in (
+        normalize([(0, F(1, 4)), (F(1, 4), F(1, 2))]),
+        normalize([(0, F(1, 3)), (F(1, 3), F(1, 2))]),
+        IntervalUnion.from_ends(6, (0, 3)),
+        iu("[0,1/3) u [1/2,1)").union(iu("[1/3,1/2)")).intersect(iu("[0,1/2)")),
+    ):
+        assert other == half and hash(other) == hash(half)
+
+
+def test_membership_outside_unit_interval_is_false():
+    full = iu("[0,1)")
+    assert F(0) in full and F(99, 100) in full
+    for x in (F(-1, 2), F(-1, 1 << 70), 1, F(1), F(3, 2), -1, 2):
+        assert x not in full
+
+
+def _on_grid64(pairs):
+    return normalize((F(round(lo * 64), 64), F(round(hi * 64), 64)) for lo, hi in pairs)
+
+
+@given(pair_list(), pair_list())
+def test_dyadic_operations_stay_dyadic(pa, pb):
+    a, b = _on_grid64(pa), _on_grid64(pb)
+    for r in (a.union(b), a.intersect(b), a.difference(b), a.symmetric_difference(b), a.complement()):
+        assert r.den & (r.den - 1) == 0
+
+
+def test_from_ends_rejects_unnormalized_ends():
+    for den, ends in ((4, (1, 1)), (4, (0, 2, 2, 3)), (4, (2, 1)), (4, (0, 5)), (4, (0,)), (0, ())):
+        with pytest.raises(ValueError):
+            IntervalUnion.from_ends(den, ends)
+
+
 def test_count_fixed_matches_membership():
     u = iu("[0,1/3) u [1/2,2/3)")
     precision = 8
