@@ -366,7 +366,7 @@ def _cmd_induced(args, config) -> int:
         raise ValueError("region must have positive measure")
     kind = config.get("process", {}).get("kind", "rotation")
     count = args.count
-    m = args.m or count
+    m = count if args.m is None else args.m
     need = max(1000, int(count / float(region.measure)) * 3)
     if kind == "rotation":
         x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)

@@ -277,6 +277,14 @@ def _trace_one(args) -> DeviationTrace:
     return DeviationTrace(seed, tuple(m_grid), tuple(values), tuple(argmax))
 
 
+def fan_out(fn, args, workers: int) -> list:
+    """[fn(a) for a in args], over a process pool when workers > 1; order is kept."""
+    if workers <= 1 or len(args) <= 1:
+        return [fn(a) for a in args]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, args, chunksize=max(1, len(args) // (4 * workers))))
+
+
 def deviation_trace(
     fam_builder,
     upto: int,
@@ -299,11 +307,7 @@ def deviation_trace(
     jobs = [
         (spec.to_json(), fam_builder, upto, m_grid, seed, tuple(avoid)) for seed in seeds
     ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_trace_one, jobs, chunksize=8))
-    else:
-        traces = [_trace_one(j) for j in jobs]
+    traces = fan_out(_trace_one, jobs, workers)
     medians = tuple(
         median([t.values[i] for t in traces]) for i in range(len(m_grid))
     )

@@ -10,7 +10,9 @@ counted twice, and single points carry measure zero.
 Every boolean operation, ``normalize`` and ``vc.join`` run one endpoint
 sweep (``segments``): the operands are rescaled to the lcm of their
 denominators, each end becomes a signed step, and walking the steps in
-order gives each segment's membership mask.
+order gives each segment's membership mask. Other modules keep the format
+behind this one: they read ends only through ``rescaled`` and build unions
+only through ``from_ends`` and ``from_pairs``.
 
 A small text form is supported for configs and reports::
 
@@ -247,24 +249,38 @@ def _kept(den: int, segs, keep: Callable[[int], bool]) -> IntervalUnion:
     return IntervalUnion.from_ends(den, ends)
 
 
-def normalize(pairs: Iterable[tuple]) -> IntervalUnion:
-    """Union of raw rational (lo, hi) pairs, by the same sweep with weight 1 each.
+def rescaled(sets: Sequence[IntervalUnion], den: int = 1) -> tuple[int, list[tuple[int, ...]]]:
+    """The integer reader: (D, each set's ends over D), D the lcm of den and the sets' dens."""
+    D = lcm(den, *(s.den for s in sets))
+    return D, [tuple(e * (D // s.den) for e in s.ends) if s.den < D else s.ends for s in sets]
+
+
+def from_pairs(den: int, pairs: Iterable[tuple[int, int]]) -> IntervalUnion:
+    """Union of raw integer pairs [lo/den, hi/den), by the sweep with weight 1 each.
 
     Overlapping and touching pairs merge and pairs with lo == hi vanish;
-    lo > hi or endpoints outside [0, 1] raise ValueError.
+    a pair outside 0 <= lo <= hi <= den raises ValueError.
     """
-    pairs = list(pairs)
-    den = lcm(*(x.denominator for pair in pairs for x in pair))
     steps: dict[int, int] = {}
-    for lo, hi in pairs:
-        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-        if not (0 <= a <= den and 0 <= b <= den):
-            raise ValueError(f"endpoint outside [0, 1] in [{lo}, {hi})")
-        if a > b:
-            raise ValueError(f"interval [{lo}, {hi}) has lo > hi")
+    for a, b in pairs:
+        if not 0 <= a <= b <= den:
+            lo, hi = Fraction(a, den), Fraction(b, den)
+            raise ValueError(f"interval [{lo}, {hi}) needs 0 <= lo <= hi <= 1")
         steps[a] = steps.get(a, 0) + 1
         steps[b] = steps.get(b, 0) - 1
     return _kept(den, _walk(den, steps), lambda count: count > 0)
+
+
+def normalize(pairs: Iterable[tuple]) -> IntervalUnion:
+    """Union of raw rational (lo, hi) pairs: ``from_pairs`` over their common denominator."""
+    pairs = list(pairs)
+    den = lcm(*(x.denominator for pair in pairs for x in pair))
+    # Stream the rescaled pairs: a second list would hold every pair twice.
+    return from_pairs(
+        den,
+        ((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+         for a, b in pairs),
+    )
 
 
 # -- text form --------------------------------------------------------------

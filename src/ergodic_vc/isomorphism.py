@@ -8,6 +8,10 @@ inside before outside. Stage 1 therefore sends C_1 to the prefix
 [0, lambda(C_1)), and the block of a stage-n cell A splits into the blocks
 of A n C_{n+1} followed by A n C_{n+1}^c at stage n + 1.
 
+A map keeps one integer row (lo, hi, shift) per cell part over one
+denominator, read by ``intervals.rescaled``; one tiling check validates the
+rows and their inverse, and points, images and preimages bisect them.
+
 The classical doubling example: with C_i the union of the even order-(i+1)
 dyadic intervals, the stage-n map agrees with x -> 2x mod 1 up to the cell
 measure 2**-n; ``doubling_map_deviation`` checks this on a dyadic grid.
@@ -15,11 +19,11 @@ measure 2**-n; ``doubling_map_deviation`` checks this on a dyadic grid.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import IntervalUnion, normalize, parse_union
+from .intervals import IntervalUnion, from_pairs, parse_union, rescaled
 from .vc import join
 
 
@@ -34,45 +38,36 @@ class Piece:
 class PiecewiseTranslation:
     """Invertible rearrangement of [0, 1) by translations of interval parts.
 
-    ``pieces`` hold stage cells in image order; a flattened translation
-    table drives point evaluation and exact images, and its inverse exact
-    preimages. Instances are immutable.
+    ``pieces`` hold stage cells in image order. The table's row (lo, hi,
+    shift) moves the cell part [lo/den, hi/den) by shift/den, den being the
+    cells' common denominator; every ``beta`` lies on that grid, as the
+    blocks tile [0, 1). The table drives points and images, its inverse
+    preimages, and one check that rows tile [0, den) validates both.
+    Instances are immutable.
     """
 
-    __slots__ = ("pieces", "stage", "_table", "_inverse")
+    __slots__ = ("pieces", "stage", "_den", "_table", "_inverse")
 
     def __init__(self, pieces, stage: int):
         pieces = tuple(pieces)
-        total = sum((p.source.measure for p in pieces), Fraction(0))
-        if total != 1:
-            raise ValueError(f"cells must partition [0, 1); total measure {total}")
-        betas = sorted((p.beta, p.beta + p.source.measure) for p in pieces)
-        cursor = Fraction(0)
-        for lo, hi in betas:
-            if lo != cursor:
-                raise ValueError("image blocks must tile [0, 1) without gaps")
-            cursor = hi
-        if cursor != 1:
-            raise ValueError("image blocks must end at 1")
+        den, ends = rescaled([p.source for p in pieces])
         table = []
-        for p in pieces:
-            acc = Fraction(0)
-            for part in p.source.parts:
-                table.append((part.lo, part.hi, p.beta + acc - part.lo))
-                acc += part.length
-        table.sort(key=lambda row: row[0])
-        prev = Fraction(0)
-        for lo, hi, _ in table:
-            if lo != prev:
-                raise ValueError("cells must partition [0, 1) without overlap")
-            prev = hi
-        if prev != 1:
-            raise ValueError("cells must cover [0, 1)")
+        for p, e in zip(pieces, ends):
+            at, off = divmod(p.beta.numerator * den, p.beta.denominator)
+            if off:
+                raise ValueError(f"block offset {p.beta} is off the cells' grid 1/{den}")
+            for lo, hi in zip(e[::2], e[1::2]):
+                table.append((lo, hi, at - lo))
+                at += hi - lo
+        table.sort()
+        inverse = sorted((lo + s, hi + s, -s) for lo, hi, s in table)
+        for rows in (table, inverse):
+            if [lo for lo, _, _ in rows] + [den] != [0] + [hi for _, hi, _ in rows]:
+                raise ValueError("cells and their image blocks must each tile [0, 1)")
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_table", tuple(table))
-        # The image rows tile [0, 1) as well, since the map is a bijection.
-        inverse = sorted((lo + s, hi + s, -s) for lo, hi, s in table)
         object.__setattr__(self, "_inverse", tuple(inverse))
 
     def __setattr__(self, name, value):  # immutability guard
@@ -82,21 +77,19 @@ class PiecewiseTranslation:
         x = Fraction(x)
         if not 0 <= x < 1:
             raise ValueError(f"point {x} outside [0, 1)")
-        i = bisect_right(self._table, x, key=lambda row: row[0]) - 1
-        lo, hi, shift = self._table[i]
-        if not lo <= x < hi:  # pragma: no cover - table validation forbids gaps
-            raise AssertionError("translation table has a gap")
-        return x + shift
+        # The row holding x is the last one whose lo is <= floor(x * den).
+        n = x.numerator * self._den // x.denominator
+        return x + Fraction(self._table[bisect_left(self._table, (n + 1,)) - 1][2], self._den)
 
     __call__ = apply
 
     def image(self, u: IntervalUnion) -> IntervalUnion:
         """Exact forward image of a union (valid for any union)."""
-        return _translate(self._table, u)
+        return _translate(self._table, self._den, u)
 
     def preimage(self, u: IntervalUnion) -> IntervalUnion:
         """Exact preimage of a union, by the inverse table."""
-        return _translate(self._inverse, u)
+        return _translate(self._inverse, self._den, u)
 
     def to_json(self) -> dict:
         return {
@@ -118,20 +111,23 @@ class PiecewiseTranslation:
         return PiecewiseTranslation(pieces, int(obj["stage"]))
 
 
-def _translate(table, u: IntervalUnion) -> IntervalUnion:
-    """Shift each part of ``u`` by the rows of ``table`` it meets.
+def _translate(rows, den: int, u: IntervalUnion) -> IntervalUnion:
+    """Shift each part of ``u`` by the rows over ``den`` that it meets.
 
-    The rows (lo, hi, shift) tile [0, 1) in order, so each part starts at
-    the row holding its left end and steps through the following rows.
+    The rows (lo, hi, shift) tile [0, den) in order, so each part starts at
+    the row holding its left end and steps through the following rows, all
+    over D = lcm(den, u's den), where a row end scales by D // den.
     """
+    D, (ends,) = rescaled([u], den)
+    k = D // den
     pairs = []
-    for part in u.parts:
-        i = bisect_right(table, part.lo, key=lambda row: row[0]) - 1
-        while i < len(table) and table[i][0] < part.hi:
-            lo, hi, shift = table[i]
-            pairs.append((max(part.lo, lo) + shift, min(part.hi, hi) + shift))
+    for a, b in zip(ends[::2], ends[1::2]):
+        i = bisect_left(rows, (a // k + 1,)) - 1
+        while i < len(rows) and rows[i][0] * k < b:
+            lo, hi, shift = rows[i]
+            pairs.append((max(a, lo * k) + shift * k, min(b, hi * k) + shift * k))
             i += 1
-    return normalize(pairs)
+    return from_pairs(D, pairs)
 
 
 def build_map(sets) -> PiecewiseTranslation:
@@ -163,30 +159,29 @@ def image_of_union(
     where blocks is the union of [beta, beta + lambda(A)) over the covered
     cells; for a piecewise translation these are equal as sets, which the
     caller can confirm via the symmetric difference.
+
+    One bisect into c's ends puts each cell part inside c, outside it, or
+    split by an end of c; a cell is aligned when all its parts agree, and as
+    the cells partition [0, 1), c is then the union of those inside it.
     """
-    block_pairs = []
-    covered = IntervalUnion()
-    for p in phi.pieces:
-        inter = p.source.intersect(c)
-        if inter.is_empty:
-            continue
-        if inter != p.source:
+    D, (ends, *sources) = rescaled([c, *(p.source for p in phi.pieces)])
+    blocks = []
+    for p, e in zip(phi.pieces, sources):
+        sides = set()
+        for a, b in zip(e[::2], e[1::2]):
+            i = bisect_right(ends, a)
+            sides.add(2 if i < len(ends) and ends[i] < b else i % 2)
+        if sides == {1}:
+            lo = p.beta.numerator * (D // p.beta.denominator)
+            blocks.append((lo, lo + sum(e[1::2]) - sum(e[::2])))
+        elif sides - {0}:
             raise ValueError("set is not aligned with the stage cells")
-        block_pairs.append((p.beta, p.beta + p.source.measure))
-        covered = covered.union(p.source)
-    if covered != c:
-        raise ValueError("set is not a union of stage cells")
-    return phi.image(c), normalize(block_pairs)
+    return phi.image(c), from_pairs(D, blocks)
 
 
 def measure_preservation_defect(phi: PiecewiseTranslation, probes) -> Fraction:
     """max |lambda(preimage(B)) - lambda(B)| over probe unions (0 if exact)."""
-    worst = Fraction(0)
-    for b in probes:
-        defect = abs(phi.preimage(b).measure - b.measure)
-        if defect > worst:
-            worst = defect
-    return worst
+    return max((abs(phi.preimage(b).measure - b.measure) for b in probes), default=Fraction(0))
 
 
 # -- the doubling example ------------------------------------------------------
@@ -206,13 +201,6 @@ def doubling_map(n: int) -> PiecewiseTranslation:
 
 def doubling_map_deviation(n: int, probe_order: int = 10) -> Fraction:
     """sup over the order-``probe_order`` dyadic grid of |phi_n(x) - 2x mod 1|."""
-    phi = doubling_map(n)
-    den = 1 << probe_order
-    worst = Fraction(0)
-    for k in range(den):
-        x = Fraction(k, den)
-        target = (2 * x) % 1
-        d = abs(phi.apply(x) - target)
-        if d > worst:
-            worst = d
-    return worst
+    phi, den = doubling_map(n), 1 << probe_order
+    grid = [Fraction(k, den) for k in range(den)]
+    return max(abs(phi.apply(x) - 2 * x % 1) for x in grid)

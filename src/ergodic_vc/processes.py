@@ -15,6 +15,9 @@ Kinds:
                    leading bit of x_i is stream bit i+1.
 * ``markov``       finite chain with exact rational transition rows; state s
                    emits a quantized uniform draw from cell s of a partition.
+                   Both draws are integer: a bisect into ``ceil_fixed``
+                   thresholds picks the state, and one floor division over
+                   the cell's denominator places the point.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 from .errors import InsufficientDataError
-from .intervals import IntervalUnion, SetFamily, parse_union
+from .intervals import IntervalUnion, SetFamily, ceil_fixed, parse_union, rescaled
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -63,10 +67,6 @@ def fixed_uniform(seed: int, domain: int, index: int, precision: int) -> int:
 def golden_alpha_fixed(precision: int) -> int:
     """floor(((sqrt 5 - 1) / 2) * 2**precision), the golden rotation angle."""
     return (isqrt(5 << (2 * precision)) - (1 << precision)) // 2
-
-
-def _rat_to_fixed_floor(x: Fraction, precision: int) -> int:
-    return (x.numerator << precision) // x.denominator
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ class SamplePath:
     def from_values(values, precision: int = 128, spec: ProcessSpec | None = None) -> "SamplePath":
         """Build a synthetic path from rationals, quantized to the precision grid."""
         spec = spec or iid_spec(0, precision)
-        fixed = tuple(_rat_to_fixed_floor(Fraction(v), precision) for v in values)
+        fixed = tuple((v.numerator << precision) // v.denominator for v in map(Fraction, values))
         for n in fixed:
             if not 0 <= n < (1 << precision):
                 raise ValueError("points must lie in [0, 1)")
@@ -281,37 +281,37 @@ def _doubling_fixed(seed: int, count: int, precision: int) -> list[int]:
 
 def _markov_fixed(spec: ProcessSpec, count: int) -> list[int]:
     matrix = spec.params["matrix"]
-    cells = spec.params["cells"]
-    precision = spec.precision
-    scale = 1 << precision
-    pi = stationary_distribution(matrix)
-    cell_parts = [c.parts for c in cells]
-    measures = [c.measure for c in cells]
-
-    def pick(dist, u_fixed):
-        # Exact categorical draw: find least s with u < cumsum(dist)[s].
-        acc = Fraction(0)
-        for s, p in enumerate(dist):
-            acc += p
-            if u_fixed * acc.denominator < acc.numerator * scale:
-                return s
-        return len(dist) - 1
-
-    def emit(state, v_fixed):
-        parts = cell_parts[state]
-        pos = Fraction(v_fixed, scale) * measures[state]
-        acc = Fraction(0)
-        for part in parts:
-            if pos < acc + part.length:
-                return _rat_to_fixed_floor(part.lo + (pos - acc), precision)
-            acc += part.length
-        return _rat_to_fixed_floor(parts[-1].hi, precision) - 1
-
+    precision, seed = spec.precision, spec.seed
+    # limits[0] is the stationary law and limits[s + 1] the row of state s,
+    # as thresholds ceil_fixed(p_0 + ... + p_t); a uniform u draws the least
+    # t with u < p_0 + ... + p_t, that is bisect_right(limits[...], u).
+    limits = [
+        [ceil_fixed(acc, precision) for acc in accumulate(row)]
+        for row in [stationary_distribution(matrix), *matrix]
+    ]
+    # Cell s, with parts [lo_j, hi_j) over its own den, total length
+    # ``total`` and lengths acc_j before part j, maps v to the point
+    # pos = v * total / 2**P along its parts. With w = v * total, pos falls
+    # in part j = bisect_right(lims, w) for lims the running lengths << P,
+    # and floor((lo_j - acc_j + pos) / den * 2**P) = (offs[j] + w) // den
+    # for offs[j] = (lo_j - acc_j) << P.
+    cells = []
+    for cell in spec.params["cells"]:
+        den, (ends,) = rescaled([cell])
+        lims, offs, acc = [], [], 0
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            offs.append((lo - acc) << precision)
+            acc += hi - lo
+            lims.append(acc << precision)
+        cells.append((den, acc, lims, offs))
     out = []
-    state = pick(pi, fixed_uniform(spec.seed, DOMAIN_MARKOV_STATE, 0, precision))
+    state = bisect_right(limits[0], fixed_uniform(seed, DOMAIN_MARKOV_STATE, 0, precision))
     for i in range(1, count + 1):
-        state = pick(matrix[state], fixed_uniform(spec.seed, DOMAIN_MARKOV_STATE, i, precision))
-        out.append(emit(state, fixed_uniform(spec.seed, DOMAIN_MARKOV_EMIT, i, precision)))
+        u = fixed_uniform(seed, DOMAIN_MARKOV_STATE, i, precision)
+        state = bisect_right(limits[state + 1], u)
+        den, total, lims, offs = cells[state]
+        w = fixed_uniform(seed, DOMAIN_MARKOV_EMIT, i, precision) * total
+        out.append((offs[bisect_right(lims, w)] + w) // den)
     return out
 
 

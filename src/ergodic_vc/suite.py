@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .deviation import ks_statistic, max_deviation_k_intervals, uniform_deviation
+from .deviation import fan_out, ks_statistic, max_deviation_k_intervals, uniform_deviation
 from .errors import InsufficientDataError
 from .families import dyadic_class, half_interval_class, k_interval_class, subset_indexed_sets
 from .functions import (
@@ -102,14 +101,6 @@ def _rand_union64(d: _Det, cells: int) -> IntervalUnion:
     while len(picked) < cells:
         picked.add(d.next(64))
     return normalize([(Fraction(c, 64), Fraction(c + 1, 64)) for c in sorted(picked)])
-
-
-def _fan_out(fn, args, workers: int) -> list:
-    if workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args) // (4 * workers))
-        return list(pool.map(fn, args, chunksize=chunk))
 
 
 # -- criterion 1: shatter coefficients never beat the binomial bound -----------
@@ -232,7 +223,7 @@ def _c4_one(seed: int):
 
 
 def _c4_lines(workers: int):
-    rows = _fan_out(_c4_one, list(range(100)), workers)
+    rows = fan_out(_c4_one, list(range(100)), workers)
     lines = []
     for seed, k100, k10k in rows:
         lines.append(f"4,ks,iid,{seed},100,{k100.numerator},{k100.denominator}")
@@ -384,7 +375,7 @@ def _c8_one(seed: int):
 
 
 def _c8_lines(workers: int):
-    rows = _fan_out(_c8_one, list(range(100)), workers)
+    rows = fan_out(_c8_one, list(range(100)), workers)
     return [
         f"8,split,{seed},{g2.numerator},{g2.denominator},{int(ok)}"
         for seed, g2, ok in rows

@@ -150,6 +150,13 @@ def test_induced_report(invoke):
     assert abs(report["mean_return"]["f64"] - 3) < 0.3
 
 
+def test_induced_m_zero_exits_1(invoke):
+    code, out, err = invoke(["induced", "--count", "300", "--m", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_graph_lift_report(invoke):
     code, out, _ = invoke(["graph-lift", "--m", "300", "--seed", "5", "--yseed", "6"])
     assert code == 0

@@ -1,6 +1,8 @@
 """Exact interval-union algebra: normalization, measure, DSL round trips."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,7 @@ from ergodic_vc import (
     iu,
     normalize,
 )
-from ergodic_vc.intervals import ceil_fixed
+from ergodic_vc.intervals import ceil_fixed, from_pairs, rescaled
 
 F = Fraction
 
@@ -185,6 +187,25 @@ def test_from_ends_rejects_unnormalized_ends():
     for den, ends in ((4, (1, 1)), (4, (0, 2, 2, 3)), (4, (2, 1)), (4, (0, 5)), (4, (0,)), (0, ())):
         with pytest.raises(ValueError):
             IntervalUnion.from_ends(den, ends)
+
+
+def test_rescaled_reads_ends_over_one_den_and_from_pairs_rebuilds():
+    a, b = iu("[0,1/3) u [1/2,2/3)"), iu("[1/4,3/4)")
+    den, (ea, eb) = rescaled([a, b], 5)
+    assert (den, ea, eb) == (60, (0, 20, 30, 40), (15, 45))
+    assert rescaled([], 7) == (7, [])
+    assert from_pairs(den, zip(ea[::2], ea[1::2])) == a
+    assert from_pairs(den, [(15, 30), (20, 45), (45, 45)]) == b
+    for pairs in ([(3, 2)], [(0, 61)], [(-1, 2)]):
+        with pytest.raises(ValueError):
+            from_pairs(den, pairs)
+
+
+def test_only_intervals_reads_the_integer_format():
+    """Other modules go through rescaled/from_ends/from_pairs, never .den or .ends."""
+    src = Path(__file__).resolve().parents[1] / "src" / "ergodic_vc"
+    readers = {f.name for f in src.glob("*.py") if re.search(r"\.(den|ends)\b", f.read_text())}
+    assert readers == {"intervals.py"}
 
 
 def test_count_fixed_matches_membership():

@@ -87,6 +87,10 @@ def test_invalid_partitions_rejected():
         PiecewiseTranslation(
             [Piece(iu("[0,1/2)"), F(0)), Piece(iu("[1/2,1)"), F(1, 4))], 1
         )
+    with pytest.raises(ValueError):  # beta off the cells' grid of halves
+        PiecewiseTranslation([Piece(iu("[0,1/2)"), F(1, 3)), Piece(iu("[1/2,1)"), F(0))], 1)
+    with pytest.raises(ValueError):  # cells overlap on [1/4, 1/2), blocks still tile
+        PiecewiseTranslation([Piece(iu("[0,1/2)"), F(0)), Piece(iu("[1/4,3/4)"), F(1, 2))], 1)
 
 
 def test_json_round_trip():
@@ -134,6 +138,35 @@ def test_cell_aligned_images_are_blocks(set_cells, data):
     image, blocks = image_of_union(phi, aligned)
     assert image.symmetric_difference(blocks).measure == 0
     assert image.measure == aligned.measure
+
+
+def mixed_union(den, cells):
+    return normalize([(F(j, den), F(j + 1, den)) for j in sorted({j % den for j in cells})])
+
+
+def mixed_union_strategy():
+    dens = st.sampled_from([32, 64, 96, 80, 63])
+    return st.tuples(dens, st.lists(st.integers(0, 95), max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_union_strategy(), min_size=1, max_size=4), st.data())
+def test_image_of_union_raises_exactly_on_split_cells(set_specs, data):
+    phi = build_map([mixed_union(den, cells) for den, cells in set_specs])
+    n = len(phi.pieces)
+    picks = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    c = normalize([(q.lo, q.hi) for p, on in zip(phi.pieces, picks) if on for q in p.source.parts])
+    if data.draw(st.booleans()):
+        c = c ^ mixed_union(*data.draw(mixed_union_strategy()))
+    split = any(0 < (p.source & c).measure < p.source.measure for p in phi.pieces)
+    if split:
+        with pytest.raises(ValueError):
+            image_of_union(phi, c)
+        return
+    image, blocks = image_of_union(phi, c)
+    covered = [p for p in phi.pieces if (p.source & c) == p.source]
+    assert blocks == normalize([(p.beta, p.beta + p.source.measure) for p in covered])
+    assert image == phi.image(c)
 
 
 def test_unaligned_set_rejected():

@@ -1,5 +1,6 @@
 """Seeded fixed-point sample paths and orbit-atom families."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,18 @@ from ergodic_vc import (
     iid_spec,
     iu,
     markov_spec,
+    normalize,
     rotation_spec,
     stationary_distribution,
     trajectory_family,
 )
-from ergodic_vc.processes import DOMAIN_DOUBLING, DOMAIN_IID, doubling_stream_bits
+from ergodic_vc.processes import (
+    DOMAIN_DOUBLING,
+    DOMAIN_IID,
+    DOMAIN_MARKOV_EMIT,
+    DOMAIN_MARKOV_STATE,
+    doubling_stream_bits,
+)
 
 F = Fraction
 
@@ -167,6 +175,63 @@ def test_markov_path_lands_in_cells():
     for n in path.fixed:
         x = F(n, 1 << path.precision)
         assert (x in cells[0]) or (x in cells[1])
+
+
+def markov_reference(spec, count):
+    """The Markov path in Fraction arithmetic: cumulative-row pick, part-walk emit."""
+    scale = 1 << spec.precision
+    matrix, cells = spec.params["matrix"], spec.params["cells"]
+
+    def pick(dist, index):
+        u = F(fixed_uniform(spec.seed, DOMAIN_MARKOV_STATE, index, spec.precision), scale)
+        acc = F(0)
+        for s, p in enumerate(dist):
+            acc += p
+            if u < acc:
+                return s
+
+    def emit(cell, index):
+        v = F(fixed_uniform(spec.seed, DOMAIN_MARKOV_EMIT, index, spec.precision), scale)
+        pos = v * cell.measure
+        for part in cell.parts:
+            if pos < part.length:
+                return math.floor((part.lo + pos) * scale)
+            pos -= part.length
+
+    state = pick(stationary_distribution(matrix), 0)
+    out = []
+    for i in range(1, count + 1):
+        state = pick(matrix[state], i)
+        out.append(emit(cells[state], i))
+    return out
+
+
+@st.composite
+def markov_chains(draw):
+    """(matrix, cells): positive rational rows; each cell a union of grid slots."""
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(1, 6), min_size=n, max_size=n)
+    matrix = [[F(w, sum(r)) for w in r] for r in draw(st.lists(row, min_size=n, max_size=n))]
+    den = draw(st.sampled_from([6, 10, 12, 16, 21, 32]))
+    extra = draw(st.lists(st.integers(0, n - 1), min_size=den - n, max_size=den - n))
+    owner = draw(st.permutations(list(range(n)) + extra))
+    cells = [
+        normalize([(F(j, den), F(j + 1, den)) for j in range(den) if owner[j] == s])
+        for s in range(n)
+    ]
+    return matrix, cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    markov_chains(),
+    st.sampled_from([64, 128, 200]),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 200),
+)
+def test_markov_path_matches_fraction_reference(chain, precision, seed, count):
+    spec = markov_spec(*chain, seed=seed, precision=precision)
+    assert list(generate(spec, count).fixed) == markov_reference(spec, count)
 
 
 def test_sorted_fixed_is_sorted_prefix():
