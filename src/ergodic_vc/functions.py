@@ -27,7 +27,7 @@ from fractions import Fraction
 from .deviation import DeviationResult
 from .errors import InsufficientDataError
 from .intervals import IntervalUnion, SetFamily, ceil_fixed, normalize
-from .processes import _MASK64, DOMAIN_FN_GEN, DOMAIN_YLIFT, SamplePath, fixed_uniform
+from .processes import _MASK64, DOMAIN_FN_GEN, DOMAIN_YLIFT, SamplePath, fixed_uniform, uniforms
 
 
 class PiecewiseFn:
@@ -426,10 +426,7 @@ def graph_lift(path: SamplePath, yseed: int) -> GraphSample:
     """
     if not 0 <= yseed <= _MASK64:
         raise ValueError(f"yseed {yseed} outside [0, 2**64)")
-    yfixed = tuple(
-        fixed_uniform(yseed, DOMAIN_YLIFT, i, path.precision)
-        for i in range(1, len(path.fixed) + 1)
-    )
+    yfixed = tuple(uniforms(yseed, DOMAIN_YLIFT, 1, len(path.fixed), path.precision))
     return GraphSample(path, yseed, yfixed)
 
 

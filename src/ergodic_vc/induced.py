@@ -78,7 +78,7 @@ def induce(path: SamplePath, region: IntervalUnion, count: int) -> InducedPath:
 def kac_ratio(ip: InducedPath, m: int) -> Fraction:
     """lambda(A) * tau_{m-1} / m, exactly (zero at m = 1 by the anchor)."""
     if not 1 <= m <= ip.count + 1:
-        raise InsufficientDataError(f"kac ratio needs m-1 <= {ip.count}", ip.count)
+        raise InsufficientDataError(f"kac ratio needs 1 <= m <= {ip.count + 1}", ip.count)
     return ip.region.measure * Fraction(ip.taus[m - 1], m)
 
 
@@ -111,7 +111,7 @@ def frequency_transfer_identity(
     recomputes both from raw counts.
     """
     if not 1 <= m <= ip.count:
-        raise InsufficientDataError(f"identity needs m <= {ip.count}", ip.count)
+        raise InsufficientDataError(f"identity needs 1 <= m <= {ip.count}", ip.count)
     precision = ip.base.precision
     induced = ip.induced_fixed[:m]
     lhs_hits = sum(1 for n in induced if Fraction(n, 1 << precision) in c)
@@ -142,7 +142,7 @@ def induced_uniform_deviation(
     lambda(A)|, the stationary law of the process seen only inside A.
     """
     if not 1 <= m <= ip.count:
-        raise InsufficientDataError(f"deviation needs m <= {ip.count}", ip.count)
+        raise InsufficientDataError(f"deviation needs 1 <= m <= {ip.count}", ip.count)
     fam.check_budget(upto)
     mu = ip.region.measure
     pairs = (

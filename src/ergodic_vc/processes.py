@@ -4,7 +4,9 @@ Every generator emits points as integer numerators at a fixed binary
 precision P >= 64 (value n means n / 2**P), so membership tests against
 rational interval endpoints and orbit atoms are exact integer comparisons.
 Generation is counter based: point i is a pure function of (seed, i), which
-makes paths reproducible and trivially splittable across workers.
+makes paths reproducible and trivially splittable across workers. Paths are
+drawn in batches by ``uniforms``, one hoisted mixer loop per stream;
+``fixed_uniform`` is the per-point reference it must match bit for bit.
 
 Kinds:
 
@@ -12,7 +14,8 @@ Kinds:
 * ``rotation``     x_i = x_0 + i * alpha mod 1 in P-bit fixed point.
 * ``doubling``     x_i reads P bits of a seeded bit stream shifted i places,
                    so x_{i+1} agrees with frac(2 x_i) to P-1 bits and the
-                   leading bit of x_i is stream bit i+1.
+                   leading bit of x_i is stream bit i+1. Each block of 64
+                   points reads one window of consecutive stream words.
 * ``markov``       finite chain with exact rational transition rows; state s
                    emits a quantized uniform draw from cell s of a partition.
                    Both draws are integer: a bisect into ``ceil_fixed``
@@ -62,6 +65,29 @@ def fixed_uniform(seed: int, domain: int, index: int, precision: int) -> int:
     for lane in range(words):
         n = (n << 64) | _word(seed, domain, index, lane)
     return n >> (words * 64 - precision)
+
+
+def uniforms(seed: int, domain: int, start: int, count: int, precision: int) -> list[int]:
+    """``fixed_uniform`` at counters start .. start + count - 1, in one loop.
+
+    The base mix is computed once and each lane's offset added to it, so a
+    word costs one inlined splitmix finaliser.
+    """
+    words = -(-precision // 64)
+    drop = words * 64 - precision
+    base = _mix64((seed & _MASK64) ^ ((domain * 0xD6E8FEB86659FD93) & _MASK64))
+    lanes = [base + lane * 0xC2B2AE3D27D4EB4F for lane in range(words)]
+    mask, golden = _MASK64, _GOLDEN64
+    out = []
+    for i in range(start, start + count):
+        n = 0
+        for c in lanes:
+            z = (c + i * golden) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            n = (n << 64) | z ^ (z >> 31)
+        out.append(n >> drop)
+    return out
 
 
 def golden_alpha_fixed(precision: int) -> int:
@@ -260,23 +286,21 @@ class SamplePath:
         return SamplePath(spec, precision, fixed)
 
 
-def _doubling_stream(seed: int, bits: int) -> tuple[int, int]:
-    """The doubling bit stream cut to whole words holding at least ``bits``.
-
-    Returns (stream, width); stream bit b_1 is bit width - 1 of the integer.
-    """
-    words = -(-bits // 64)
-    stream = 0
-    for lane in range(words):
-        stream = (stream << 64) | _word(seed, DOMAIN_DOUBLING, lane, 0)
-    return stream, words * 64
-
-
 def _doubling_fixed(seed: int, count: int, precision: int) -> list[int]:
-    stream, total = _doubling_stream(seed, count + precision)
-    mask = (1 << precision) - 1
-    # Bit b_1 is the most significant; x_i = 0.b_{i+1} ... b_{i+precision}.
-    return [(stream >> (total - (i + precision))) & mask for i in range(1, count + 1)]
+    # Stream bit b_1 is the top bit of word 0 and x_i = 0.b_{i+1} ... b_{i+P}
+    # reads P bits from offset i. Offsets 64q .. 64q + 63 all fall in the
+    # window of ``span`` words from word q, so each block of 64 points reads
+    # one window instead of shifting the whole stream.
+    span = -(-precision // 64) + 1
+    words = uniforms(seed, DOMAIN_DOUBLING, 0, count // 64 + span, 64)
+    mask, top = (1 << precision) - 1, 64 * span - precision
+    out = []
+    for q in range(count // 64 + 1):
+        window = 0
+        for w in words[q : q + span]:
+            window = (window << 64) | w
+        out += [(window >> (top - r)) & mask for r in range(64)]
+    return out[1 : count + 1]
 
 
 def _markov_fixed(spec: ProcessSpec, count: int) -> list[int]:
@@ -304,13 +328,13 @@ def _markov_fixed(spec: ProcessSpec, count: int) -> list[int]:
             acc += hi - lo
             lims.append(acc << precision)
         cells.append((den, acc, lims, offs))
+    picks = uniforms(seed, DOMAIN_MARKOV_STATE, 0, count + 1, precision)
     out = []
-    state = bisect_right(limits[0], fixed_uniform(seed, DOMAIN_MARKOV_STATE, 0, precision))
-    for i in range(1, count + 1):
-        u = fixed_uniform(seed, DOMAIN_MARKOV_STATE, i, precision)
+    state = bisect_right(limits[0], picks[0])
+    for u, v in zip(picks[1:], uniforms(seed, DOMAIN_MARKOV_EMIT, 1, count, precision)):
         state = bisect_right(limits[state + 1], u)
         den, total, lims, offs = cells[state]
-        w = fixed_uniform(seed, DOMAIN_MARKOV_EMIT, i, precision) * total
+        w = v * total
         out.append((offs[bisect_right(lims, w)] + w) // den)
     return out
 
@@ -328,7 +352,7 @@ def generate(spec: ProcessSpec, count: int, avoid=()) -> SamplePath:
     precision = spec.precision
     scale = 1 << precision
     if spec.kind == "iid-uniform":
-        fixed = [fixed_uniform(spec.seed, DOMAIN_IID, i, precision) for i in range(1, count + 1)]
+        fixed = uniforms(spec.seed, DOMAIN_IID, 1, count, precision)
     elif spec.kind == "rotation":
         alpha = spec.params["alpha_fixed"] % scale
         x0 = spec.params["x0_fixed"] % scale
@@ -438,5 +462,5 @@ def trajectory_family(
 
 def doubling_stream_bits(seed: int, count: int) -> list[int]:
     """First ``count`` bits b_1.. of the doubling bit stream (for audits)."""
-    stream, total = _doubling_stream(seed, count)
-    return [(stream >> (total - i)) & 1 for i in range(1, count + 1)]
+    words = uniforms(seed, DOMAIN_DOUBLING, 0, -(-count // 64), 64)
+    return [(w >> r) & 1 for w in words for r in range(63, -1, -1)][:count]

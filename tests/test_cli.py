@@ -151,10 +151,12 @@ def test_induced_report(invoke):
 
 
 def test_induced_m_zero_exits_1(invoke):
-    code, out, err = invoke(["induced", "--count", "300", "--m", "0"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
+    for m in ("0", "-1"):
+        code, out, err = invoke(["induced", "--count", "300", "--m", m])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "1 <= m <= 300" in err
 
 
 def test_graph_lift_report(invoke):

@@ -70,8 +70,9 @@ def test_kac_ratio_hand_computed():
     assert kac_ratio(ip, 1) == 0
     assert kac_ratio(ip, 2) == F(1, 2) * F(2, 2)
     assert kac_ratio(ip, 4) == F(1, 2) * F(5, 4)
-    with pytest.raises(InsufficientDataError):
-        kac_ratio(ip, 5)
+    for m in (0, 5):
+        with pytest.raises(InsufficientDataError, match="1 <= m <= 4"):
+            kac_ratio(ip, m)
 
 
 def test_mean_return_time_hand_computed():
@@ -136,8 +137,9 @@ def test_induced_deviation_against_conditional_law():
     fam = dyadic_class(2)
     res = induced_uniform_deviation(ip, fam, fam.size, 4)
     assert res.value == abs(F(3, 4) - F(1, 2))
-    with pytest.raises(InsufficientDataError):
-        induced_uniform_deviation(ip, fam, fam.size, 6)
+    for m in (0, 6):
+        with pytest.raises(InsufficientDataError, match="1 <= m <= 5"):
+            induced_uniform_deviation(ip, fam, fam.size, m)
 
 
 def test_transfer_bound_fields_consistent():

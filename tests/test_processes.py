@@ -23,10 +23,13 @@ from ergodic_vc import (
 )
 from ergodic_vc.processes import (
     DOMAIN_DOUBLING,
+    DOMAIN_FN_GEN,
     DOMAIN_IID,
     DOMAIN_MARKOV_EMIT,
     DOMAIN_MARKOV_STATE,
+    DOMAIN_YLIFT,
     doubling_stream_bits,
+    uniforms,
 )
 
 F = Fraction
@@ -52,6 +55,25 @@ def test_fixed_uniform_precision_prefix_consistency():
     wide = fixed_uniform(11, DOMAIN_IID, 5, 128)
     narrow = fixed_uniform(11, DOMAIN_IID, 5, 64)
     assert narrow == wide >> 64
+
+
+PRECISIONS = st.sampled_from([64, 65, 127, 128, 200])
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    SEEDS,
+    st.sampled_from(
+        [DOMAIN_IID, DOMAIN_DOUBLING, DOMAIN_MARKOV_STATE, DOMAIN_MARKOV_EMIT, DOMAIN_YLIFT, DOMAIN_FN_GEN]
+    ),
+    st.integers(0, 10**6),
+    st.integers(0, 130),
+    PRECISIONS,
+)
+def test_uniforms_batch_matches_fixed_uniform(seed, domain, start, count, precision):
+    expected = [fixed_uniform(seed, domain, i, precision) for i in range(start, start + count)]
+    assert uniforms(seed, domain, start, count, precision) == expected
 
 
 def test_golden_alpha_value():
@@ -145,6 +167,41 @@ def test_doubling_stream_bits_match_msb():
     bits = doubling_stream_bits(3, 21)
     for idx, n in enumerate(path.fixed):
         assert (n >> 127) & 1 == bits[idx + 1]
+
+
+def doubling_reference(seed, count, precision):
+    """Points and stream bits from one integer of joined words, shifted per point."""
+    words = -(-(count + precision) // 64)
+    stream = 0
+    for k in range(words):
+        stream = (stream << 64) | fixed_uniform(seed, DOMAIN_DOUBLING, k, 64)
+    total, mask = 64 * words, (1 << precision) - 1
+    points = [(stream >> (total - i - precision)) & mask for i in range(1, count + 1)]
+    bits = [(stream >> (total - i)) & 1 for i in range(1, count + 1)]
+    return points, bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(1, 300), PRECISIONS)
+def test_doubling_path_and_bits_match_joined_stream_across_word_seams(seed, count, precision):
+    points, bits = doubling_reference(seed, count, precision)
+    assert list(generate(doubling_spec(seed, precision), count).fixed) == points
+    assert doubling_stream_bits(seed, count) == bits
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        iid_spec(12),
+        rotation_spec(seed=0, x0_fixed=17),
+        doubling_spec(5, 200),
+        markov_spec([[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]], ["[0,1/4) u [1/2,3/4)", "[1/4,1/2) u [3/4,1)"], 9, 65),
+    ],
+    ids=lambda spec: spec.kind,
+)
+@pytest.mark.parametrize("n, big", [(1, 64), (63, 200), (64, 65), (129, 130)])
+def test_every_kind_is_prefix_stable_across_block_boundaries(spec, n, big):
+    assert generate(spec, n).fixed == generate(spec, big).fixed[:n]
 
 
 def test_generate_avoid_points_replaces_collisions():
