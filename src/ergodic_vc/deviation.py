@@ -11,13 +11,23 @@ Given a path prefix x_1..x_m of dyadic points, this module evaluates
 All values are rationals; sums are carried as integers over the common
 denominator m * 2**precision, so results are independent of evaluation
 order and reproduce byte-for-byte across worker counts.
+
+Both suprema run on integers and build one ``Fraction`` per result. A
+family is scored from compiled rows (thresholds, measure numerator, measure
+denominator), cached on the ``SetFamily``: per prefix each distinct
+threshold is bisected once, a member's count is the alternating sum of its
+thresholds' ranks, and members are compared by cross-multiplication. The
+k-interval DP keeps two integer lists of "at most r runs" totals and
+updates them in place, one pass per weight list.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from statistics import median
 
 from .errors import ResourceLimitError
@@ -41,27 +51,41 @@ def discrepancy(member, path: SamplePath, m: int) -> Fraction:
     return abs(Fraction(hits, m) - member.measure)
 
 
-def _sup_deviation(pairs, sorted_fixed, precision: int) -> tuple[Fraction, int | None]:
-    """Largest |frequency - target| over (member, target) pairs, first argmax.
+def _sup_deviation(rows, sorted_fixed) -> tuple[Fraction, int | None]:
+    """Largest |frequency - num/den| over rows (thresholds, num, den), first argmax.
 
-    Frequencies are counts over the whole ascending prefix ``sorted_fixed``.
-    Ties keep the lowest index; no pairs give (0, None).
+    A row's count over the ascending prefix ``sorted_fixed`` is the
+    alternating sum -r_0 + r_1 - r_2 + ... of its thresholds' ranks
+    (``bisect_left``), each distinct threshold bisected once. With m points
+    the value is |count * den - num * m| / (m * den), compared across rows
+    by cross-multiplication. Ties keep the lowest index; no rows give
+    (0, None).
     """
     m = len(sorted_fixed)
-    best = Fraction(0)
-    argmax = None
-    for i, (member, target) in enumerate(pairs):
-        value = abs(Fraction(member.count_fixed(sorted_fixed, precision), m) - target)
-        if argmax is None or value > best:
-            best, argmax = value, i
-    return best, argmax
+    ranks: dict[int, int] = {}
+    get = ranks.get
+    best, best_den, argmax = 0, 1, None
+    for i, (thresholds, num, den) in enumerate(rows):
+        hits, odd = 0, False
+        for t in thresholds:
+            r = get(t)
+            if r is None:
+                r = ranks[t] = bisect_left(sorted_fixed, t)
+            if odd:
+                hits += r
+            else:
+                hits -= r
+            odd = not odd
+        gap = abs(hits * den - num * m)
+        if gap * best_den > best * den or argmax is None:
+            best, best_den, argmax = gap, den, i
+    return Fraction(best, m * best_den), argmax
 
 
 def uniform_deviation(fam: SetFamily, upto: int, path: SamplePath, m: int) -> DeviationResult:
     """Largest member deviation within the budget (first index on ties)."""
-    fam.check_budget(upto)
-    pairs = ((c, c.measure) for c in map(fam.member, range(upto)))
-    best, argmax = _sup_deviation(pairs, path.sorted_fixed(m), path.precision)
+    rows = fam.rows(upto, path.precision)
+    best, argmax = _sup_deviation(islice(rows, upto), path.sorted_fixed(m))
     return DeviationResult(best, argmax, upto)
 
 
@@ -104,35 +128,24 @@ class KIntervalDeviation:
 
 
 def _max_k_segments(weights, k: int) -> int:
-    """Max total of at most k disjoint nonempty runs (empty choice = 0)."""
-    neg = None
-    out = [0] + [neg] * k  # out[r]: best with r completed runs
-    inn = [neg] * (k + 1)  # inn[r]: best with r runs, r-th still open
+    """Max total of at most k disjoint nonempty runs (empty choice = 0).
+
+    out[r] is the best total of at most r runs so far, and inn[r] the best
+    with at most r runs, the last ending at the current weight. Looping r
+    downward reads out[r - 1] from before this weight, so a new run starts
+    strictly after the runs it follows.
+    """
+    out = [0] * (k + 1)
+    inn = [0] * (k + 1)
+    down = range(k, 0, -1)
     for w in weights:
-        new_inn = [neg] * (k + 1)
-        for r in range(1, k + 1):
-            best = inn[r]
-            if out[r - 1] is not neg and (best is neg or out[r - 1] > best):
-                best = out[r - 1]
-            if best is not neg:
-                new_inn[r] = best + w
-        inn = new_inn
-        for r in range(1, k + 1):
-            if inn[r] is not neg and (out[r] is neg or inn[r] > out[r]):
-                out[r] = inn[r]
-    return max(v for v in out if v is not neg)
-
-
-def _grouped(sorted_fixed):
-    """Distinct values with multiplicities from an ascending list."""
-    values, counts = [], []
-    for n in sorted_fixed:
-        if values and values[-1] == n:
-            counts[-1] += 1
-        else:
-            values.append(n)
-            counts.append(1)
-    return values, counts
+        for r in down:
+            a, b = inn[r], out[r - 1]
+            a = (a if a > b else b) + w
+            inn[r] = a
+            if a > out[r]:
+                out[r] = a
+    return out[k]
 
 
 def max_deviation_k_intervals(
@@ -142,7 +155,7 @@ def max_deviation_k_intervals(
 
     Split into a positive excess (frequency above measure) and a negative
     excess; each is a best-choice of at most k disjoint runs over the
-    alternating sample-point / gap sequence, solved by dynamic programming
+    alternating gap / sample-point sequence, solved by dynamic programming
     on integer weights at scale m * 2**precision. Runs never benefit from
     partially covered gaps, so the element-level optimum is the true
     supremum. Attainability is decided by re-running the selection over the
@@ -153,32 +166,27 @@ def max_deviation_k_intervals(
         raise ValueError("k must be >= 1")
     if k * m > cost_cap:
         raise ResourceLimitError(f"k*m = {k * m} exceeds cost cap {cost_cap}")
-    sorted_fixed = path.sorted_fixed(m)
     scale = 1 << path.precision
-    values, counts = _grouped(sorted_fixed)
-    r = len(values)
-
-    # Positive side: atoms +count*scale, interior gaps -m*length.
-    pos = []
-    for i in range(r):
-        if i:
-            pos.append(-m * (values[i] - values[i - 1]))
-        pos.append(counts[i] * scale)
-    # Negative side: gaps +m*length (with boundary gaps), atoms -count*scale.
-    neg = [m * (values[0] - 0)] if r else [m * scale]
-    for i in range(r):
-        neg.append(-counts[i] * scale)
-        nxt = values[i + 1] if i + 1 < r else scale
-        neg.append(m * (nxt - values[i]))
-    sup_best = max(_max_k_segments(pos, k), _max_k_segments(neg, k))
+    # weights = [gap_0, atom_1, gap_1, .., atom_r, gap_r] over the distinct
+    # points v_1 < .. < v_r: atom_t = count * scale, gap_t = -m * (v_{t+1} -
+    # v_t) with v_0 = 0 and v_{r+1} = 1. The positive excess picks runs of
+    # these, the negative excess runs of their negatives; the boundary gaps
+    # are <= 0, so they never help the positive side.
+    weights: list[int] = []
+    prev = 0
+    for n in path.sorted_fixed(m):
+        if weights and n == prev:
+            weights[-1] += scale
+        else:
+            weights += (m * (prev - n), scale)
+            prev = n
+    weights.append(m * (prev - scale))
+    sup_best = max(_max_k_segments(weights, k), _max_k_segments([-w for w in weights], k))
 
     # Attainable optimum: runs of half-open blocks [e_t, e_{t+1}) over the
-    # endpoint grid e = (0, v_1, .., v_r, 1); block t >= 1 contains atom v_t.
-    bounds = [0] + values + [scale]
-    attain = []
-    for t in range(len(bounds) - 1):
-        mass = counts[t - 1] * scale if t >= 1 else 0
-        attain.append(mass - m * (bounds[t + 1] - bounds[t]))
+    # endpoint grid e = (0, v_1, .., v_r, 1); block t >= 1 holds atom_t and
+    # the gap after it, block 0 the first gap alone.
+    attain = [weights[0]] + [a + g for a, g in zip(weights[1::2], weights[2::2])]
     attained_best = max(
         _max_k_segments(attain, k), _max_k_segments([-w for w in attain], k)
     )
@@ -299,11 +307,13 @@ def deviation_trace(
     ``fam_builder`` is a zero-argument callable producing the family (kept
     as a builder so jobs pickle cheaply for process pools). Results are
     ordered by the seed list regardless of worker count, and medians are
-    exact rationals.
+    exact rationals. An empty seed list, or an m grid that is empty, not
+    strictly ascending or below 1, raises ValueError before any job starts.
     """
-    m_grid = tuple(m_grid)
-    if any(a >= b for a, b in zip(m_grid, m_grid[1:])):
-        raise ValueError("m grid must be strictly ascending")
+    m_grid, seeds = tuple(m_grid), list(seeds)
+    ascending = all(a < b for a, b in zip(m_grid, m_grid[1:]))
+    if not (seeds and m_grid and m_grid[0] >= 1 and ascending):
+        raise ValueError("need seeds, and an m grid that is nonempty, strictly ascending and >= 1")
     jobs = [
         (spec.to_json(), fam_builder, upto, m_grid, seed, tuple(avoid)) for seed in seeds
     ]

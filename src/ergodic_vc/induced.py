@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InsufficientDataError
 from .deviation import DeviationResult, _sup_deviation
-from .intervals import IntervalUnion, SetFamily
+from .intervals import IntervalUnion, SetFamily, scoring_row
 from .processes import AtomSet, SamplePath
 
 
@@ -144,12 +144,13 @@ def induced_uniform_deviation(
     if not 1 <= m <= ip.count:
         raise InsufficientDataError(f"deviation needs 1 <= m <= {ip.count}", ip.count)
     fam.check_budget(upto)
-    mu = ip.region.measure
-    pairs = (
-        (c, _intersect_member(c, ip.region).measure / mu)
+    mu, precision = ip.region.measure, ip.base.precision
+    # Rows are built per call: the targets are conditional on the region.
+    rows = (
+        scoring_row(c, _intersect_member(c, ip.region).measure / mu, precision)
         for c in map(fam.member, range(upto))
     )
-    best, argmax = _sup_deviation(pairs, sorted(ip.induced_fixed[:m]), ip.base.precision)
+    best, argmax = _sup_deviation(rows, sorted(ip.induced_fixed[:m]))
     return DeviationResult(best, argmax, upto)
 
 
@@ -181,9 +182,8 @@ def deviation_transfer_bound(
     induced_dev = induced_uniform_deviation(ip, fam, upto, m).value
     tau = ip.taus[m - 1]
     pieces = (_intersect_member(c, ip.region) for c in map(fam.member, range(upto)))
-    base_dev, _ = _sup_deviation(
-        ((c, c.measure) for c in pieces), sorted(ip.base.fixed[:tau]), ip.base.precision
-    )
+    rows = (scoring_row(c, c.measure, ip.base.precision) for c in pieces)
+    base_dev, _ = _sup_deviation(rows, sorted(ip.base.fixed[:tau]))
     pacing = kac_ratio(ip, m)
     lower = base_dev / ip.region.measure - abs(pacing - 1)
     return TransferBound(induced_dev, base_dev, pacing, lower)

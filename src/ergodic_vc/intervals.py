@@ -357,12 +357,18 @@ def iu(text: str) -> IntervalUnion:
 # -- indexed families --------------------------------------------------------
 
 
+def scoring_row(member, target: Fraction, precision: int) -> tuple[list[int], int, int]:
+    """The row a member is scored from: (thresholds, target numerator, target denominator)."""
+    return member.thresholds(precision), target.numerator, target.denominator
+
+
 class SetFamily:
     """Deterministic indexed family of measurable subsets of [0, 1).
 
     ``member(i)`` must be a pure function of ``i``; results are cached.
     ``size`` is the number of members, or None for countable families that
-    any finite budget may truncate.
+    any finite budget may truncate. The compiled scoring rows of ``rows``
+    are cached next to the members, so they live as long as the family.
     """
 
     def __init__(self, name: str, member_fn: Callable[[int], object], size: int | None):
@@ -370,6 +376,7 @@ class SetFamily:
         self._member_fn = member_fn
         self.size = size
         self._cache: dict[int, object] = {}
+        self._rows: dict[int, list[tuple[list[int], int, int]]] = {}
 
     @classmethod
     def of(cls, name: str, members) -> "SetFamily":
@@ -389,6 +396,20 @@ class SetFamily:
         self.check_budget(upto)
         for i in range(upto):
             yield self.member(i)
+
+    def rows(self, upto: int, precision: int) -> list[tuple[list[int], int, int]]:
+        """Scoring rows (thresholds, measure numerator, measure denominator).
+
+        Row i compiles member i at the given precision: its ``thresholds``
+        and its measure. The list is kept per precision and grown to the
+        largest budget asked, so it may hold more than ``upto`` rows.
+        """
+        self.check_budget(upto)
+        rows = self._rows.setdefault(precision, [])
+        for i in range(len(rows), upto):
+            c = self.member(i)
+            rows.append(scoring_row(c, c.measure, precision))
+        return rows
 
     def check_budget(self, upto: int) -> None:
         if upto < 0:

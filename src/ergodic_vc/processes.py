@@ -253,7 +253,7 @@ class SamplePath:
     precision: int
     fixed: tuple[int, ...]
     audit: tuple[tuple[int, int], ...] = ()
-    _sorted_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _latest: list = field(default_factory=lambda: [0, []], compare=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -268,12 +268,24 @@ class SamplePath:
         return [Fraction(n, scale) for n in self.fixed]
 
     def sorted_fixed(self, m: int) -> list[int]:
-        """Ascending numerators of the first m points (cached per m)."""
+        """Ascending numerators of the first m points.
+
+        Only the latest prefix is kept. A longer one is a new list sorted
+        from the kept one plus the next points, which timsort merges as one
+        sorted run; a shorter one is sorted afresh. A list once returned is
+        never changed.
+        """
         if m < 1 or m > self.length:
             raise InsufficientDataError(f"prefix {m} unavailable", self.length)
-        if m not in self._sorted_cache:
-            self._sorted_cache[m] = sorted(self.fixed[:m])
-        return self._sorted_cache[m]
+        prev_m, prev = self._latest
+        if m != prev_m:
+            if m > prev_m:
+                prev = [*prev, *self.fixed[prev_m:m]]
+                prev.sort()
+            else:
+                prev = sorted(self.fixed[:m])
+            self._latest[:] = (m, prev)
+        return prev
 
     @staticmethod
     def from_values(values, precision: int = 128, spec: ProcessSpec | None = None) -> "SamplePath":
@@ -419,6 +431,13 @@ class AtomSet:
         n //= x.denominator
         i = bisect_left(self.fixed, n)
         return i < len(self.fixed) and self.fixed[i] == n
+
+    def thresholds(self, precision: int) -> list[int]:
+        """``[n, n + 1]`` per atom n. As with a union's thresholds, a point p
+        counts when an odd number of them are <= p: here, when p is an atom."""
+        if precision != self.precision:
+            raise ValueError("precision mismatch between atoms and path")
+        return [t for n in self.fixed for t in (n, n + 1)]
 
     def count_fixed(self, sorted_fixed, precision: int) -> int:
         if precision != self.precision:

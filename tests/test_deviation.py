@@ -1,19 +1,24 @@
 """Uniform deviations, KS statistic, exact k-interval maximization, traces."""
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergodic_vc import (
+    AtomSet,
     InsufficientDataError,
     ResourceLimitError,
     SamplePath,
+    SetFamily,
     cellwise_deviation_sum,
     deviation_trace,
     discrepancy,
     dyadic_class,
     generate,
+    golden_alpha_fixed,
     high_discrepancy_cells,
     iid_spec,
     iu,
@@ -22,8 +27,10 @@ from ergodic_vc import (
     max_deviation_k_intervals,
     rotation_spec,
     subset_indexed_sets,
+    trajectory_family,
     uniform_deviation,
 )
+from ergodic_vc.deviation import _max_k_segments
 from ergodic_vc.families import half_interval_class as _half
 from ergodic_vc.oracles import brute_k_interval_sup
 
@@ -72,6 +79,50 @@ def test_uniform_deviation_monotone_in_budget():
     path = generate(iid_spec(3), 200)
     values = [uniform_deviation(fam, b, path, 200).value for b in (2, 6, 14, 30)]
     assert values == sorted(values)
+
+
+# -- compiled scoring rows cached on the family -------------------------------------
+
+
+def _fresh_dyadic6(upto, path, m):
+    res = uniform_deviation(dyadic_class(6), upto, path, m)
+    return res.value, res.argmax
+
+
+def test_row_cache_is_keyed_by_precision():
+    fam = dyadic_class(6)
+    for precision in (64, 128, 64):
+        path = generate(iid_spec(4, precision), 300)
+        res = uniform_deviation(fam, fam.size, path, 300)
+        assert (res.value, res.argmax) == _fresh_dyadic6(126, path, 300)
+
+
+def test_row_cache_grows_to_the_largest_budget_and_serves_smaller_ones():
+    fam = dyadic_class(6)
+    path = generate(iid_spec(6), 500)
+    for upto in (10, 126, 5):
+        res = uniform_deviation(fam, upto, path, 500)
+        assert res.budget == upto
+        assert (res.value, res.argmax) == _fresh_dyadic6(upto, path, 500)
+
+
+def test_atom_thresholds_count_like_count_fixed():
+    precision = 128
+    alpha, x0 = golden_alpha_fixed(precision), 12345
+    member = trajectory_family(alpha, x0, precision, window=2).member(3)
+    # Orbit points, some twice, among iid points: the atoms are hit.
+    points = list(generate(rotation_spec(0, alpha, x0, precision), 20).fixed)
+    points += points[:5] + list(generate(iid_spec(1), 50).fixed)
+    sorted_fixed = sorted(points)
+    ranks = [bisect_left(sorted_fixed, t) for t in member.thresholds(precision)]
+    hits = sum(ranks[1::2]) - sum(ranks[::2])
+    assert hits == member.count_fixed(sorted_fixed, precision) > 0
+
+
+def test_atom_precision_mismatch_raises_through_uniform_deviation():
+    fam = SetFamily.of("atoms", [AtomSet([1, 2], precision=64)])
+    with pytest.raises(ValueError, match="precision mismatch"):
+        uniform_deviation(fam, 1, generate(iid_spec(0, 128), 10), 10)
 
 
 # -- KS statistic ---------------------------------------------------------------
@@ -139,6 +190,33 @@ def test_k_interval_sup_matches_brute(seed, m, k):
     assert res.attained_value <= res.value <= 1
 
 
+def _exhaustive_k_segments(weights, k):
+    """Best total over every choice of at most k disjoint nonempty runs, by enumeration."""
+    prefix = [0, *accumulate(weights)]
+    best = 0
+    for r in range(1, k + 1):
+        # Cut points c_0 <= c_1 <= ... give runs [c_0, c_1), [c_2, c_3), ...;
+        # touching runs are allowed, empty ones are not.
+        for cuts in combinations_with_replacement(range(len(weights) + 1), 2 * r):
+            runs = list(zip(cuts[::2], cuts[1::2]))
+            if all(a < b for a, b in runs):
+                best = max(best, sum(prefix[b] - prefix[a] for a, b in runs))
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-20, 20), max_size=10),
+        st.lists(st.integers(-20, 0), max_size=10),
+        st.lists(st.sampled_from([-3, 0, 2]), max_size=10),
+    ),
+    st.integers(1, 3),
+)
+def test_max_k_segments_matches_exhaustive_enumeration(weights, k):
+    assert _max_k_segments(weights, k) == _exhaustive_k_segments(weights, k)
+
+
 def test_k_interval_cost_cap():
     path = generate(iid_spec(1), 10)
     with pytest.raises(ResourceLimitError):
@@ -192,6 +270,20 @@ def test_trace_bundle_schema_and_madian_sorted_merge():
     assert int(first[0]) == 3 and int(first[1]) == 10
     assert len(bundle.median_values) == 2
     assert bundle.median_values[1] <= bundle.median_values[0]
+
+
+@pytest.mark.parametrize(
+    "m_grid, seeds",
+    [([10, 100], []), ([], [0]), ([0, 10], [0]), ([10, 10], [0])],
+    ids=["no-seeds", "empty-grid", "m-zero", "not-ascending"],
+)
+def test_trace_rejects_bad_seeds_and_grids_before_any_job(m_grid, seeds, monkeypatch):
+    def no_jobs(*args):
+        raise AssertionError("a job started")
+
+    monkeypatch.setattr("ergodic_vc.deviation.fan_out", no_jobs)
+    with pytest.raises(ValueError, match="need seeds, and an m grid .* strictly ascending and >= 1"):
+        deviation_trace(_dyadic3, 14, iid_spec(0), m_grid, seeds)
 
 
 def test_trace_bundle_parallel_equals_serial():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ergodic_vc import (
     AtomSet,
     ProcessSpec,
+    SamplePath,
     doubling_spec,
     fixed_uniform,
     generate,
@@ -295,6 +296,24 @@ def test_sorted_fixed_is_sorted_prefix():
     path = generate(iid_spec(2), 64)
     s = path.sorted_fixed(40)
     assert s == sorted(path.fixed[:40])
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[1, 5, 17, 64], [64, 17, 5, 1], [17, 17, 5, 5, 64, 64, 1], [5, 64, 1, 40, 40, 3, 64]],
+    ids=["ascending", "descending", "repeated", "mixed"],
+)
+def test_sorted_fixed_keeps_one_prefix_and_never_mutates_a_returned_list(order):
+    # Points at 2**-8 steps repeat, so the merge of the kept prefix and the
+    # next points sees ties.
+    path = SamplePath.from_values([F(i * 37 % 256 // 4, 256) for i in range(64)])
+    handed_out = []
+    for m in order:
+        s = path.sorted_fixed(m)
+        assert s == sorted(path.fixed[:m])
+        handed_out.append((m, s))
+    for m, s in handed_out:
+        assert s == sorted(path.fixed[:m])
 
 
 def test_point_and_points_views():
