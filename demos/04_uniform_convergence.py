@@ -19,10 +19,6 @@ from ergodic_vc import (
 )
 
 
-def dyadic4():
-    return dyadic_class(4)
-
-
 def main():
     print("golden rotation, KS statistic by sample size:")
     path = generate(rotation_spec(seed=0), 10_000)
@@ -33,7 +29,7 @@ def main():
 
     print("i.i.d. uniforms, dyadic family deviation (seed 0):")
     iid_path = generate(iid_spec(0), 10_000)
-    fam = dyadic4()
+    fam = dyadic_class(4)
     for m in (10, 100, 1000, 10_000):
         res = uniform_deviation(fam, fam.size, iid_path, m)
         print(f"  m={m:>6}  gamma = {float(res.value):.6f}  argmax member {res.argmax}")
@@ -47,7 +43,7 @@ def main():
     print()
 
     print("seeded trace bundle (CSV rows, exact rationals):")
-    bundle = deviation_trace(dyadic4, 30, iid_spec(0), [100, 1000], [0, 1, 2], workers=1)
+    bundle = deviation_trace(fam, 30, iid_spec(0), [100, 1000], [0, 1, 2], workers=1)
     print("  seed,m,gamma_num,gamma_den,gamma_f64,argmax_member")
     for row in bundle.csv_rows():
         print(" ", row)

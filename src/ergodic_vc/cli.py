@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 
 from jsonschema import Draft202012Validator
 
@@ -52,6 +51,7 @@ from .vc import full_join_witness, join, sauer_bound, shatter_coefficient, vc_di
 # Seeds key a 64-bit counter generator; larger seeds would alias smaller ones.
 _SEED_MAX = (1 << 64) - 1
 _PROCESS_KINDS = ["iid-uniform", "rotation", "doubling", "markov"]
+_FAMILY_NAMES = ["dyadic", "half", "intervals", "run-pattern", "trajectory"]
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -63,7 +63,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kind": {"enum": _PROCESS_KINDS},
                 "seed": {"type": "integer", "minimum": 0, "maximum": _SEED_MAX},
-                "precision": {"type": "integer", "minimum": 64},
                 "params": {"type": "object"},
             },
         },
@@ -71,16 +70,13 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "name": {
-                    "enum": ["dyadic", "half", "intervals", "run-pattern", "trajectory"]
-                },
+                "name": {"enum": _FAMILY_NAMES},
                 "order": {"type": "integer", "minimum": 1, "maximum": 16},
                 "k": {"type": "integer", "minimum": 1},
                 "window": {"type": "integer", "minimum": 1},
                 "budget": {"type": "integer", "minimum": 0},
                 "alpha_fixed": {"type": "string"},
                 "x0_fixed": {"type": "string"},
-                "precision": {"type": "integer", "minimum": 64},
             },
         },
         "m_grid": {
@@ -94,8 +90,6 @@ CONFIG_SCHEMA = {
             "minItems": 1,
         },
         "precision": {"type": "integer", "minimum": 64},
-        "budget": {"type": "integer", "minimum": 0},
-        "grid_order": {"type": "integer", "minimum": 1, "maximum": 20},
         "workers": {"type": "integer", "minimum": 1},
         "output": {"type": "string"},
     },
@@ -124,29 +118,22 @@ def _config_error(problem: str) -> int:
     return 2
 
 
-# -- family registry -------------------------------------------------------------
+# -- families -------------------------------------------------------------------
 
 
-def _build_dyadic(params) -> SetFamily:
-    return dyadic_class(int(params.get("order", 4)))
-
-
-def _build_half(params) -> SetFamily:
-    return half_interval_class()
-
-
-def _build_intervals(params) -> SetFamily:
-    return k_interval_class(int(params.get("k", 1)), int(params.get("order", 3)))
-
-
-def _build_run_pattern(params) -> SetFamily:
-    order = int(params.get("order", 4))
-    pts = [Fraction(2 * i + 1, 1 << (order + 1)) for i in range(1 << order)]
-    return run_pattern_class(int(params.get("k", 2)), pts)
-
-
-def _build_trajectory(params) -> SetFamily:
-    precision = int(params.get("precision", 128))
+def _build_family(params, precision: int) -> SetFamily:
+    """The named family; trajectory atoms use the run's fixed-point precision."""
+    name = params["name"]
+    if name == "dyadic":
+        return dyadic_class(int(params.get("order", 4)))
+    if name == "half":
+        return half_interval_class()
+    if name == "intervals":
+        return k_interval_class(int(params.get("k", 1)), int(params.get("order", 3)))
+    if name == "run-pattern":
+        order = int(params.get("order", 4))
+        pts = [Fraction(2 * i + 1, 1 << (order + 1)) for i in range(1 << order)]
+        return run_pattern_class(int(params.get("k", 2)), pts)
     alpha = params.get("alpha_fixed")
     alpha = golden_alpha_fixed(precision) if alpha is None else int(alpha)
     return trajectory_family(
@@ -154,31 +141,23 @@ def _build_trajectory(params) -> SetFamily:
     )
 
 
-FAMILY_BUILDERS = {
-    "dyadic": _build_dyadic,
-    "half": _build_half,
-    "intervals": _build_intervals,
-    "run-pattern": _build_run_pattern,
-    "trajectory": _build_trajectory,
-}
-
-_DEFAULT_BUDGETS = {"half": 32, "trajectory": 16}
+_DEFAULT_BUDGETS = {"trajectory": 16}
 
 
 def _family(config) -> tuple[dict, SetFamily, int]:
     """Family section (name defaulting to dyadic), the family and its budget."""
     params = {"name": "dyadic", **config.get("family", {})}
-    fam = FAMILY_BUILDERS[params["name"]](params)
-    budget = params.get("budget", config.get("budget"))
+    fam = _build_family(params, _seed_precision(config)[1])
+    budget = params.get("budget")
     if budget is None:
         budget = fam.size if fam.size is not None else _DEFAULT_BUDGETS.get(params["name"], 32)
     return params, fam, budget
 
 
 def _seed_precision(config) -> tuple[int, int]:
-    """Process seed and fixed-point bits; top-level precision beats process.precision."""
-    process = config.get("process", {})
-    return process.get("seed", 0), config.get("precision", process.get("precision", 128))
+    """Process seed and fixed-point bits, each read from its one config key."""
+    # The schema lets integral floats such as 128.0 through.
+    return int(config.get("process", {}).get("seed", 0)), int(config.get("precision", 128))
 
 
 def _process_spec(config) -> ProcessSpec:
@@ -286,12 +265,10 @@ _CSV_HEADER = "seed,m,gamma_num,gamma_den,gamma_f64,argmax_member"
 
 def _cmd_converge(args, config) -> int:
     m_grid = config.get("m_grid", [100, 1000])
-    seeds = config.get("seeds", [0])
-    params, _, upto = _family(config)
-    builder = partial(FAMILY_BUILDERS[params["name"]], params)
+    params, fam, upto = _family(config)
     spec = _process_spec(config)
-    workers = config.get("workers", 1)
-    bundle = deviation_trace(builder, upto, spec, m_grid, seeds, workers=workers)
+    seeds = config.get("seeds", [spec.seed])
+    bundle = deviation_trace(fam, upto, spec, m_grid, seeds, workers=config.get("workers", 1))
     _emit("\n".join([_CSV_HEADER] + bundle.csv_rows()) + "\n", config)
     if config.get("output"):
         _report(
@@ -364,15 +341,15 @@ def _cmd_induced(args, config) -> int:
     region = iu(args.region)
     if region.is_empty:
         raise ValueError("region must have positive measure")
-    kind = config.get("process", {}).get("kind", "rotation")
     count = args.count
     m = count if args.m is None else args.m
     need = max(1000, int(count / float(region.measure)) * 3)
-    if kind == "rotation":
+    process = {"kind": "rotation", "params": {}, **config.get("process", {})}
+    if process["kind"] == "rotation" and "x0_fixed" not in process["params"]:
+        # An unset start point is a seeded uniform draw, not 0.
         x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)
-        spec = rotation_spec(seed=seed, x0_fixed=x0, precision=precision)
-    else:
-        spec = _process_spec(config)
+        process["params"] = {**process["params"], "x0_fixed": x0}
+    spec = _process_spec({**config, "process": process})
     path = generate(spec, need)
     ip = induce(path, region, count)
     member = iu(args.member)
@@ -468,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="write the main artifact to this path")
 
     family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", dest="family.name", choices=sorted(FAMILY_BUILDERS), help="family name")
+    family.add_argument("--family", dest="family.name", choices=_FAMILY_NAMES, help="family name")
     family.add_argument("--order", dest="family.order", type=int, help="family grid order")
     family.add_argument("--k", dest="family.k", type=int, help="family interval/run count")
     family.add_argument("--window", dest="family.window", type=int, help="trajectory window size")

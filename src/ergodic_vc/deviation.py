@@ -18,7 +18,8 @@ denominator), cached on the ``SetFamily``: per prefix each distinct
 threshold is bisected once, a member's count is the alternating sum of its
 thresholds' ranks, and members are compared by cross-multiplication. The
 k-interval DP keeps two integer lists of "at most r runs" totals and
-updates them in place, one pass per weight list.
+updates them in place, one pass per weight list. A seeded trace compiles
+its family's rows once, in the parent, and every seed's job scores them.
 """
 
 from __future__ import annotations
@@ -273,16 +274,11 @@ class TraceBundle:
 
 
 def _trace_one(args) -> DeviationTrace:
-    spec_json, family_builder, upto, m_grid, seed, avoid = args
+    spec_json, rows, m_grid, seed, avoid = args
     spec = ProcessSpec.from_json(spec_json).with_seed(seed)
-    path = generate(spec, max(m_grid), avoid=avoid)
-    fam = family_builder()
-    values, argmax = [], []
-    for m in m_grid:
-        res = uniform_deviation(fam, upto, path, m)
-        values.append(res.value)
-        argmax.append(res.argmax)
-    return DeviationTrace(seed, tuple(m_grid), tuple(values), tuple(argmax))
+    path = generate(spec, m_grid[-1], avoid=avoid)
+    values, argmax = zip(*(_sup_deviation(rows, path.sorted_fixed(m)) for m in m_grid))
+    return DeviationTrace(seed, m_grid, values, argmax)
 
 
 def fan_out(fn, args, workers: int) -> list:
@@ -294,7 +290,7 @@ def fan_out(fn, args, workers: int) -> list:
 
 
 def deviation_trace(
-    fam_builder,
+    fam: SetFamily,
     upto: int,
     spec: ProcessSpec,
     m_grid,
@@ -304,19 +300,20 @@ def deviation_trace(
 ) -> TraceBundle:
     """Per-seed uniform-deviation traces over an ascending m grid.
 
-    ``fam_builder`` is a zero-argument callable producing the family (kept
-    as a builder so jobs pickle cheaply for process pools). Results are
-    ordered by the seed list regardless of worker count, and medians are
-    exact rationals. An empty seed list, or an m grid that is empty, not
-    strictly ascending or below 1, raises ValueError before any job starts.
+    The first ``upto`` members are compiled to integer rows once, at the
+    spec's precision, and each job carries the rows (they pickle; a
+    family's member closures may not). Results are ordered by the seed list
+    regardless of worker count, and medians are exact rationals. An empty
+    seed list, or an m grid that is empty, not strictly ascending or below
+    1, raises ValueError before any job starts, and so does a budget beyond
+    the family or a precision the family's members cannot be compiled at.
     """
     m_grid, seeds = tuple(m_grid), list(seeds)
     ascending = all(a < b for a, b in zip(m_grid, m_grid[1:]))
     if not (seeds and m_grid and m_grid[0] >= 1 and ascending):
         raise ValueError("need seeds, and an m grid that is nonempty, strictly ascending and >= 1")
-    jobs = [
-        (spec.to_json(), fam_builder, upto, m_grid, seed, tuple(avoid)) for seed in seeds
-    ]
+    rows = fam.rows(upto, spec.precision)[:upto]
+    jobs = [(spec.to_json(), rows, m_grid, seed, tuple(avoid)) for seed in seeds]
     traces = fan_out(_trace_one, jobs, workers)
     medians = tuple(
         median([t.values[i] for t in traces]) for i in range(len(m_grid))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InsufficientDataError
 from .deviation import DeviationResult, _sup_deviation
@@ -32,7 +33,8 @@ class InducedPath:
 
     ``hits`` holds the 1-based return indices tau_1..tau_L; ``taus``
     prepends the formal anchor tau_0 = 0. ``induced_fixed[l-1]`` is the
-    numerator of the l-th induced point x_{tau_l}.
+    numerator of the l-th induced point x_{tau_l}; the tuple is built on
+    first access and kept.
     """
 
     base: SamplePath
@@ -47,7 +49,7 @@ class InducedPath:
     def count(self) -> int:
         return len(self.hits)
 
-    @property
+    @cached_property
     def induced_fixed(self) -> tuple[int, ...]:
         return tuple(self.base.fixed[t - 1] for t in self.hits)
 

@@ -1,5 +1,6 @@
 """Command line harness: exit codes, schemas, overrides, artifact formats."""
 
+import ast
 import json
 import os
 import re
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from ergodic_vc.cli import CONFIG_SCHEMA, _build_parser, _validate_config, main
+from ergodic_vc import cli
+from ergodic_vc.cli import CONFIG_SCHEMA, _build_parser, _family, _validate_config, main
 
 CSV_HEADER = "seed,m,gamma_num,gamma_den,gamma_f64,argmax_member"
 
@@ -133,6 +135,36 @@ def test_converge_output_file_and_summary(invoke, tmp_path):
     assert report["command"] == "converge" and report["rows"] == 2
 
 
+def test_converge_seed_is_the_default_seed_list(invoke):
+    argv = ["converge", "--family", "dyadic", "--order", "3", "--m-grid", "10,100"]
+    code, by_seed, _ = invoke(argv + ["--seed", "5"])
+    assert code == 0
+    _, by_seeds, _ = invoke(argv + ["--seeds", "5"])
+    assert by_seed == by_seeds
+    assert all(line.startswith("5,") for line in by_seed.strip().splitlines()[1:])
+
+
+def test_trajectory_family_uses_the_run_precision(invoke):
+    code, out, err = invoke(["converge", "--family", "trajectory", "--process", "rotation",
+                             "--precision", "64", "--m-grid", "10,100"])
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 1 + 2
+    _, fam, _ = _family({"precision": 64, "family": {"name": "trajectory"}})
+    assert fam.member(0).precision == 64
+
+
+def test_integral_float_seed_and_precision_read_as_integers(invoke, tmp_path):
+    # The schema's "integer" admits 64.0; the trajectory atoms need an int.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"precision": 64.0, "process": {"seed": 2.0}}))
+    code, out, err = invoke(["counterexample", "--config", str(cfg), "--m", "10"])
+    assert code == 0, err
+    code, out, err = invoke(["converge", "--config", str(cfg), "--family", "trajectory",
+                             "--process", "rotation", "--m-grid", "10"])
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("2,10,")
+
+
 def test_isomorphism_doubling_report(invoke):
     code, out, _ = invoke(["isomorphism", "--stage", "5"])
     assert code == 0
@@ -148,6 +180,24 @@ def test_induced_report(invoke):
     assert report["identity_holds"]
     assert 0.9 <= report["pacing"]["f64"] <= 1.1
     assert abs(report["mean_return"]["f64"] - 3) < 0.3
+
+
+def test_induced_rotation_honours_process_params(invoke, tmp_path):
+    # A quarter turn visits a 4-cycle, so [0,1/3) holds one or two of its points.
+    cfg = tmp_path / "quarter.json"
+    cfg.write_text(json.dumps({"process": {"params": {"alpha_fixed": str(1 << 126)}}}))
+    code, out, _ = invoke(["induced", "--config", str(cfg), "--count", "101"])
+    assert code == 0
+    mean = json.loads(out)["mean_return"]
+    assert (mean["num"], mean["den"]) in {(2, 1), (4, 1)}
+    # From x0 = 1/2 the path is 3/4, 0, 1/4, 1/2, .., so tau_l = 4l - 2 in [0,1/8).
+    params = {"alpha_fixed": str(1 << 126), "x0_fixed": str(1 << 127)}
+    cfg.write_text(json.dumps({"process": {"kind": "rotation", "params": params}}))
+    code, out, _ = invoke(["induced", "--config", str(cfg), "--region", "[0,1/8)",
+                           "--member", "[0,1/16)", "--count", "101"])
+    assert code == 0
+    pacing = json.loads(out)["pacing"]
+    assert (pacing["num"], pacing["den"]) == (199, 404)  # (1/8) * 398 / 101
 
 
 def test_induced_m_zero_exits_1(invoke):
@@ -318,6 +368,30 @@ def test_every_config_flag_dest_is_a_schema_path():
     assert {"process.seed", "family.budget", "m_grid", "seeds", "workers"} <= checked
 
 
+def _schema_leaves(node, prefix=""):
+    for key, sub in node["properties"].items():
+        if "properties" in sub:
+            yield from _schema_leaves(sub, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_config_key_is_read_by_the_cli():
+    """Each schema leaf is read by a .get("key") or ["key"] in cli.py, so none lies dead."""
+    read = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            key = node.args[0] if node.func.attr == "get" and node.args else None
+        elif isinstance(node, ast.Subscript):
+            key = node.slice
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            read.add(key.value)
+    unread = [path for path in _schema_leaves(CONFIG_SCHEMA) if path.split(".")[-1] not in read]
+    assert unread == []
+
+
 def test_yseed_beyond_64_bits_exits_1(invoke):
     code, out, err = invoke(["graph-lift", "--m", "50", "--yseed", str((1 << 64) + 6)])
     assert code == 1
@@ -341,15 +415,33 @@ def test_malformed_json_exits_2(invoke, tmp_path):
 
 def test_validate_config_accepts_full_document():
     doc = {
-        "process": {"kind": "rotation", "seed": 3, "precision": 128, "params": {}},
-        "family": {"name": "intervals", "k": 2, "order": 3},
+        "process": {"kind": "rotation", "seed": 3, "params": {}},
+        "family": {"name": "intervals", "k": 2, "order": 3, "budget": 50},
         "m_grid": [10, 100, 1000],
         "seeds": [0, 1, 2],
         "precision": 128,
-        "budget": 50,
         "workers": 4,
     }
     assert _validate_config(doc) is None
+
+
+@pytest.mark.parametrize(
+    "doc, pointer, key",
+    [
+        ({"process": {"precision": 128}}, "/process", "precision"),
+        ({"family": {"precision": 128}}, "/family", "precision"),
+        ({"budget": 50}, "/", "budget"),
+        ({"grid_order": 4}, "/", "grid_order"),
+    ],
+    ids=["process-precision", "family-precision", "top-level-budget", "grid-order"],
+)
+def test_second_keys_for_a_setting_exit_2(invoke, tmp_path, doc, pointer, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = invoke(["converge", "--config", str(cfg), "--m-grid", "10"])
+    assert code == 2
+    assert out == ""
+    assert f"config error at {pointer}: " in err and f"'{key}' was unexpected" in err
 
 
 # -- resource and runtime failures ---------------------------------------------------

@@ -254,13 +254,9 @@ def test_high_discrepancy_cells_flags_are_consistent():
 # -- seeded trace bundles -------------------------------------------------------
 
 
-def _dyadic3():
-    return dyadic_class(3)
-
-
 def test_trace_bundle_schema_and_madian_sorted_merge():
     spec = iid_spec(0)
-    bundle = deviation_trace(_dyadic3, 14, spec, [10, 100], [3, 1, 2], workers=1)
+    bundle = deviation_trace(dyadic_class(3), 14, spec, [10, 100], [3, 1, 2], workers=1)
     seeds = [t.seed for t in bundle.per_seed]
     assert seeds == [3, 1, 2]
     rows = bundle.csv_rows()
@@ -283,11 +279,38 @@ def test_trace_rejects_bad_seeds_and_grids_before_any_job(m_grid, seeds, monkeyp
 
     monkeypatch.setattr("ergodic_vc.deviation.fan_out", no_jobs)
     with pytest.raises(ValueError, match="need seeds, and an m grid .* strictly ascending and >= 1"):
-        deviation_trace(_dyadic3, 14, iid_spec(0), m_grid, seeds)
+        deviation_trace(dyadic_class(3), 14, iid_spec(0), m_grid, seeds)
 
 
 def test_trace_bundle_parallel_equals_serial():
     spec = iid_spec(0)
-    serial = deviation_trace(_dyadic3, 14, spec, [10, 100], list(range(6)), workers=1)
-    parallel = deviation_trace(_dyadic3, 14, spec, [10, 100], list(range(6)), workers=4)
+    serial = deviation_trace(dyadic_class(3), 14, spec, [10, 100], list(range(6)), workers=1)
+    parallel = deviation_trace(dyadic_class(3), 14, spec, [10, 100], list(range(6)), workers=4)
     assert serial.csv_rows() == parallel.csv_rows()
+
+
+def test_trace_builds_each_member_once_across_seeds():
+    dyadic = dyadic_class(3)
+    calls = []
+
+    def member_fn(i):
+        calls.append(i)
+        return dyadic.member(i)
+
+    fam = SetFamily("counted", member_fn, dyadic.size)
+    bundle = deviation_trace(fam, 14, iid_spec(0), [10, 100], [0, 1, 2], workers=1)
+    assert sorted(calls) == list(range(14))
+    expected = deviation_trace(dyadic_class(3), 14, iid_spec(0), [10, 100], [0, 1, 2])
+    assert bundle.csv_rows() == expected.csv_rows()
+
+
+def test_trace_checks_budget_and_precision_before_any_job(monkeypatch):
+    def no_jobs(*args):
+        raise AssertionError("a job started")
+
+    monkeypatch.setattr("ergodic_vc.deviation.fan_out", no_jobs)
+    with pytest.raises(ValueError, match="exceeds family"):
+        deviation_trace(dyadic_class(3), 15, iid_spec(0), [10], [0])
+    orbit = trajectory_family(golden_alpha_fixed(128), 0, 128)
+    with pytest.raises(ValueError, match="precision"):
+        deviation_trace(orbit, 4, iid_spec(0, precision=64), [10], [0])

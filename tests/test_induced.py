@@ -61,6 +61,14 @@ def test_induced_path_view():
     assert view.precision == path.precision
 
 
+def test_induced_points_are_built_once():
+    path = path_from(["3/4", "1/8", "5/8", "1/4", "1/16"])
+    ip = induce(path, iu("[0,1/2)"), 3)
+    first = ip.induced_fixed
+    assert ip.induced_fixed is first
+    assert list(first) == [path.fixed[t - 1] for t in ip.hits]
+
+
 # -- pacing and return times ----------------------------------------------------
 
 
