@@ -113,6 +113,19 @@ def _validate_config(config) -> str | None:
     return None
 
 
+def _integers(value, schema):
+    """``value`` with each leaf the schema types "integer" as an int: the
+    check admits integral floats such as 10.0."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _integers(v, props[k]) if k in props else v for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integers(v, schema.get("items", {})) for v in value]
+    return value
+
+
 def _config_error(problem: str) -> int:
     print(f"config error at {problem}", file=sys.stderr)
     return 2
@@ -125,20 +138,18 @@ def _build_family(params, precision: int) -> SetFamily:
     """The named family; trajectory atoms use the run's fixed-point precision."""
     name = params["name"]
     if name == "dyadic":
-        return dyadic_class(int(params.get("order", 4)))
+        return dyadic_class(params.get("order", 4))
     if name == "half":
         return half_interval_class()
     if name == "intervals":
-        return k_interval_class(int(params.get("k", 1)), int(params.get("order", 3)))
+        return k_interval_class(params.get("k", 1), params.get("order", 3))
     if name == "run-pattern":
-        order = int(params.get("order", 4))
+        order = params.get("order", 4)
         pts = [Fraction(2 * i + 1, 1 << (order + 1)) for i in range(1 << order)]
-        return run_pattern_class(int(params.get("k", 2)), pts)
+        return run_pattern_class(params.get("k", 2), pts)
     alpha = params.get("alpha_fixed")
     alpha = golden_alpha_fixed(precision) if alpha is None else int(alpha)
-    return trajectory_family(
-        alpha, int(params.get("x0_fixed", 0)), precision, int(params.get("window", 1))
-    )
+    return trajectory_family(alpha, int(params.get("x0_fixed", 0)), precision, params.get("window", 1))
 
 
 _DEFAULT_BUDGETS = {"trajectory": 16}
@@ -156,8 +167,7 @@ def _family(config) -> tuple[dict, SetFamily, int]:
 
 def _seed_precision(config) -> tuple[int, int]:
     """Process seed and fixed-point bits, each read from its one config key."""
-    # The schema lets integral floats such as 128.0 through.
-    return int(config.get("process", {}).get("seed", 0)), int(config.get("precision", 128))
+    return config.get("process", {}).get("seed", 0), config.get("precision", 128)
 
 
 def _process_spec(config) -> ProcessSpec:
@@ -209,7 +219,7 @@ def _cmd_shatter(args, config) -> int:
     if args.points:
         points = [Fraction(tok) for tok in args.points.split(",")]
     else:
-        points = _probe_points(int(params.get("order", 4)))
+        points = _probe_points(params.get("order", 4))
     s = shatter_coefficient(points, fam, upto)
     body = {"family": params["name"], "members": upto, "points": len(points), "shatter": s}
     _report(args, "shatter", body, config)
@@ -218,7 +228,7 @@ def _cmd_shatter(args, config) -> int:
 
 def _cmd_vcdim(args, config) -> int:
     params, fam, upto = _family(config)
-    probe = _probe_points(int(params.get("order", 4)))
+    probe = _probe_points(params.get("order", 4))
     res = vc_dimension(fam, upto, probe, max_k=args.max_k)
     body = {
         "family": params["name"],
@@ -543,6 +553,7 @@ def main(argv=None) -> int:
     problem = _validate_config(config)
     if problem is not None:
         return _config_error(problem)
+    config = _integers(config, CONFIG_SCHEMA)
     try:
         return args.handler(args, config)
     except ResourceLimitError as e:

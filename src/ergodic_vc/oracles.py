@@ -9,7 +9,7 @@ implementations against these references; keep the two routes separate.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .processes import SamplePath
 
@@ -19,10 +19,11 @@ def brute_k_interval_sup(path: SamplePath, m: int, k: int) -> Fraction:
 
     Decomposes [0, 1) into the alternating sequence gap, atom, gap, ...,
     atom, gap induced by the distinct sample values, enumerates every
-    selection of at most k disjoint element windows, and evaluates the
-    limit value |frequency - measure| of each selection directly. Partially
-    covered gaps only shrink the objective, so windows of whole elements
-    realize the supremum. Cost grows like (2m)**(2k); use small m, k.
+    selection of at most k disjoint element windows as ordered cut points
+    a_1 < b_1 <= a_2 < b_2 <= ..., and evaluates the limit value
+    |frequency - measure| of each selection directly. Partially covered
+    gaps only shrink the objective, so windows of whole elements realize
+    the supremum. Cost grows like (2m)**(2k); use small m, k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -48,29 +49,19 @@ def brute_k_interval_sup(path: SamplePath, m: int, k: int) -> Fraction:
     freq.append(0)
     meas.append(m * (scale - (values[-1] if values else 0)))
     L = len(freq)
-    pf = [0]
-    pm = [0]
-    for f, g in zip(freq, meas):
-        pf.append(pf[-1] + f)
-        pm.append(pm[-1] + g)
+    net = [0, *accumulate(f - g for f, g in zip(freq, meas))]
 
-    windows = [(a, b) for a in range(L) for b in range(a + 1, L + 1)]
-    best = 0
+    def best_from(lo: int, left: int, acc: int) -> int:
+        # Every selection that extends the chosen windows, whose net sum is
+        # acc, by windows [a, b) with lo <= a < b, up to ``left`` of them.
+        best = 0
+        for a in range(lo, L):
+            for b in range(a + 1, L + 1):
+                v = acc + net[b] - net[a]
+                best = max(best, abs(v), best_from(b, left - 1, v) if left > 1 else 0)
+        return best
 
-    def value_of(selection) -> int:
-        f = sum(pf[b] - pf[a] for a, b in selection)
-        g = sum(pm[b] - pm[a] for a, b in selection)
-        return abs(f - g)
-
-    for t in range(1, k + 1):
-        for combo in combinations(windows, t):
-            ordered = sorted(combo)
-            if any(x[1] > y[0] for x, y in zip(ordered, ordered[1:])):
-                continue
-            v = value_of(ordered)
-            if v > best:
-                best = v
-    return Fraction(best, m * scale)
+    return Fraction(best_from(0, k, 0), m * scale)
 
 
 def brute_shatter_coefficient(points, sets) -> int:

@@ -5,8 +5,8 @@ precision P >= 64 (value n means n / 2**P), so membership tests against
 rational interval endpoints and orbit atoms are exact integer comparisons.
 Generation is counter based: point i is a pure function of (seed, i), which
 makes paths reproducible and trivially splittable across workers. Paths are
-drawn in batches by ``uniforms``, one hoisted mixer loop per stream;
-``fixed_uniform`` is the per-point reference it must match bit for bit.
+drawn by ``uniforms`` in packed lanes (SIMD within a register on Python's
+bignums); ``fixed_uniform`` is the per-point reference it matches bit for bit.
 
 Kinds:
 
@@ -25,10 +25,12 @@ Kinds:
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, repeat
 from math import isqrt
 
 from .errors import InsufficientDataError
@@ -67,26 +69,50 @@ def fixed_uniform(seed: int, domain: int, index: int, precision: int) -> int:
     return n >> (words * 64 - precision)
 
 
-def uniforms(seed: int, domain: int, start: int, count: int, precision: int) -> list[int]:
-    """``fixed_uniform`` at counters start .. start + count - 1, in one loop.
+@lru_cache(maxsize=8)
+def _slots(width: int) -> tuple:
+    """Chunk size c (4,096 up to 128-bit slots, so a chunk stays near 64 KiB),
+    sum 2**(width j), golden * sum j 2**(width j) and (2**64 - 1) sum 2**(width j)
+    over j < c built by doubling, and an unpacker of c big-endian slots."""
+    c = 1 << max(0, 20 - width.bit_length())
+    r, s, n = 1, 0, 1
+    while n < c:
+        s |= (s + n * r) << (width * n)
+        r |= r << (width * n)
+        n *= 2
+    return c, r, _GOLDEN64 * s, _MASK64 * r, struct.Struct(f"{width // 8}s" * c).unpack
 
-    The base mix is computed once and each lane's offset added to it, so a
-    word costs one inlined splitmix finaliser.
+
+def uniforms(seed: int, domain: int, start: int, count: int, precision: int) -> list[int]:
+    """``fixed_uniform`` at counters start .. start + count - 1, in packed lanes.
+
+    Each 64-bit lane of a chunk of counters is one int with one slot per
+    counter. A slot's spare top bits take each 64-bit product, so a splitmix
+    step is one xor-shift, mask and multiply over the chunk. A shorter last
+    chunk takes the low bits of the chunk constants.
     """
     words = -(-precision // 64)
-    drop = words * 64 - precision
+    width = 64 * max(words, 2)
+    drop = 64 * words - precision
     base = _mix64((seed & _MASK64) ^ ((domain * 0xD6E8FEB86659FD93) & _MASK64))
-    lanes = [base + lane * 0xC2B2AE3D27D4EB4F for lane in range(words)]
-    mask, golden = _MASK64, _GOLDEN64
+    chunk, R, G, M, unpack = _slots(width)
     out = []
-    for i in range(start, start + count):
-        n = 0
-        for c in lanes:
-            z = (c + i * golden) & mask
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            n = (n << 64) | z ^ (z >> 31)
-        out.append(n >> drop)
+    for s in range(start, start + count, chunk):
+        n = min(chunk, start + count - s)
+        if n < chunk:
+            low = (1 << width * n) - 1
+            R, G, M = R & low, G & low, M & low
+            unpack = struct.Struct(f"{width // 8}s" * n).unpack
+        v, c = 0, base + s * _GOLDEN64
+        for _ in range(words):
+            z = ((c & _MASK64) * R + G) & M
+            z = ((z ^ (z >> 30)) & M) * 0xBF58476D1CE4E5B9 & M
+            z = ((z ^ (z >> 27)) & M) * 0x94D049BB133111EB & M
+            v = (v << 64) | ((z ^ (z >> 31)) & M)
+            c += 0xC2B2AE3D27D4EB4F
+        if drop:
+            v = (v >> drop) & ((R << precision) - R)
+        out += reversed(list(map(int.from_bytes, unpack(v.to_bytes(width // 8 * n, "big")), repeat("big"))))
     return out
 
 

@@ -165,6 +165,45 @@ def test_integral_float_seed_and_precision_read_as_integers(invoke, tmp_path):
     assert out.splitlines()[1].startswith("2,10,")
 
 
+# One converge config per integer schema key, with that key set where a run reads it.
+INTEGER_KEY_CONFIGS = {
+    "process.seed": {"process": {"seed": 2.0}},
+    "family.order": {"family": {"order": 3.0}},
+    "family.k": {"family": {"name": "intervals", "k": 2.0, "order": 2}},
+    "family.window": {"family": {"name": "trajectory", "window": 2.0}, "process": {"kind": "rotation"}},
+    "family.budget": {"family": {"budget": 5.0}},
+    "m_grid": {"m_grid": [10.0, 20.0]},
+    "seeds": {"seeds": [1.0, 3.0]},
+    "precision": {"precision": 64.0},
+    "workers": {"workers": 1.0},
+}
+
+
+def test_integer_key_configs_cover_the_schema():
+    def integer(node):
+        return node.get("type") == "integer" or node.get("items", {}).get("type") == "integer"
+
+    def leaf(path):
+        node = CONFIG_SCHEMA
+        for key in path.split("."):
+            node = node["properties"][key]
+        return node
+
+    assert sorted(INTEGER_KEY_CONFIGS) == sorted(p for p in _schema_leaves(CONFIG_SCHEMA) if integer(leaf(p)))
+
+
+@pytest.mark.parametrize("key", sorted(INTEGER_KEY_CONFIGS))
+def test_integral_float_in_each_integer_key_runs_as_its_integer(invoke, tmp_path, key):
+    doc = {"m_grid": [10, 20], **INTEGER_KEY_CONFIGS[key]}
+    as_float, as_int = tmp_path / "float.json", tmp_path / "int.json"
+    as_float.write_text(json.dumps(doc))
+    as_int.write_text(json.dumps(json.loads(json.dumps(doc), parse_float=lambda t: int(float(t)))))
+    assert "." in as_float.read_text() and "." not in as_int.read_text()
+    code, out, err = invoke(["converge", "--config", str(as_float)])
+    assert code == 0, err
+    assert (code, out, err) == invoke(["converge", "--config", str(as_int)])
+
+
 def test_isomorphism_doubling_report(invoke):
     code, out, _ = invoke(["isomorphism", "--stage", "5"])
     assert code == 0

@@ -2,7 +2,7 @@
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +188,63 @@ def test_k_interval_sup_matches_brute(seed, m, k):
     res = max_deviation_k_intervals(path, m, k)
     assert res.value == brute_k_interval_sup(path, m, k)
     assert res.attained_value <= res.value <= 1
+
+
+def _combinations_k_interval_sup(path, m, k):
+    """The oracle's first form: every t-combination of element windows, overlapping ones dropped."""
+    sorted_fixed = path.sorted_fixed(m)
+    scale = 1 << path.precision
+    values = []
+    counts = []
+    for n in sorted_fixed:
+        if values and values[-1] == n:
+            counts[-1] += 1
+        else:
+            values.append(n)
+            counts.append(1)
+    freq = []  # scaled by m * scale
+    meas = []
+    bounds = [0] + values + [scale]
+    for i, v in enumerate(values):
+        freq.append(0)
+        meas.append(m * (v - bounds[i]))
+        freq.append(counts[i] * scale)
+        meas.append(0)
+    freq.append(0)
+    meas.append(m * (scale - (values[-1] if values else 0)))
+    L = len(freq)
+    pf = [0]
+    pm = [0]
+    for f, g in zip(freq, meas):
+        pf.append(pf[-1] + f)
+        pm.append(pm[-1] + g)
+
+    windows = [(a, b) for a in range(L) for b in range(a + 1, L + 1)]
+    best = 0
+
+    def value_of(selection) -> int:
+        f = sum(pf[b] - pf[a] for a, b in selection)
+        g = sum(pm[b] - pm[a] for a, b in selection)
+        return abs(f - g)
+
+    for t in range(1, k + 1):
+        for combo in combinations(windows, t):
+            ordered = sorted(combo)
+            if any(x[1] > y[0] for x, y in zip(ordered, ordered[1:])):
+                continue
+            v = value_of(ordered)
+            if v > best:
+                best = v
+    return Fraction(best, m * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=5), st.data(), st.integers(1, 3))
+def test_cut_point_oracle_matches_combinations_form(eighths, data, k):
+    # Points on a coarse grid repeat and touch 0, so atoms carry counts above 1.
+    path = path_from([F(v, 8) for v in eighths])
+    m = data.draw(st.integers(1, path.length))
+    assert brute_k_interval_sup(path, m, k) == _combinations_k_interval_sup(path, m, k)
 
 
 def _exhaustive_k_segments(weights, k):

@@ -77,12 +77,23 @@ def test_uniforms_batch_matches_fixed_uniform(seed, domain, start, count, precis
     assert uniforms(seed, domain, start, count, precision) == expected
 
 
+# A chunk is 4,096 counters up to 128 bits and 2,048 at 200 bits, so these
+# runs cross one, two or more chunk edges, some from a start on an edge.
+CHUNK_RUNS = [(0, 0), (4096, 1), (0, 4097), (1, 8193), (4096, 8191), (4097, 8193), (2047, 2050)]
+
+
+@pytest.mark.parametrize("precision", [64, 65, 127, 128, 200])
+@pytest.mark.parametrize("start, count", CHUNK_RUNS)
+def test_uniforms_across_chunk_edges_match_fixed_uniform(start, count, precision):
+    expected = [fixed_uniform(5, DOMAIN_IID, i, precision) for i in range(start, start + count)]
+    assert uniforms(5, DOMAIN_IID, start, count, precision) == expected
+
+
 def test_golden_alpha_value():
-    alpha = golden_alpha_fixed(128)
-    x = F(alpha, 1 << 128)
-    golden = (5 ** F(1, 2) - 1) / 2 if False else None
-    lo, hi = F(61803398874, 10**11), F(61803398875, 10**11)
-    assert lo < x < hi
+    # alpha = floor((sqrt 5 - 1) / 2 * 2**P), so 2 alpha + 2**P <= sqrt 5 * 2**P < 2 alpha + 2 + 2**P.
+    for precision in (64, 128, 200):
+        alpha, one = golden_alpha_fixed(precision), 1 << precision
+        assert (2 * alpha + one) ** 2 <= 5 * one**2 < (2 * alpha + 2 + one) ** 2
 
 
 # -- process specs -----------------------------------------------------------------
