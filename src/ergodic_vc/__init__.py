@@ -74,6 +74,7 @@ from .isomorphism import (
     PiecewiseTranslation,
     build_map,
     doubling_comb,
+    doubling_deviation,
     doubling_map,
     doubling_map_deviation,
     image_of_union,

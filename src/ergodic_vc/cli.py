@@ -32,8 +32,8 @@ from .induced import frequency_transfer_identity, induce, kac_ratio, mean_return
 from .intervals import SetFamily, iu
 from .isomorphism import (
     build_map,
+    doubling_deviation,
     doubling_map,
-    doubling_map_deviation,
     measure_preservation_defect,
 )
 from .processes import (
@@ -333,7 +333,7 @@ def _cmd_isomorphism(args, config) -> int:
         body = {"stages": len(sets)}
     else:
         phi = doubling_map(args.stage)
-        dev = doubling_map_deviation(args.stage, probe_order=args.probe_order)
+        dev = doubling_deviation(phi, args.probe_order)
         body = {
             "stages": args.stage,
             "doubling_sup": _rat(dev),

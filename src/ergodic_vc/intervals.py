@@ -10,9 +10,11 @@ counted twice, and single points carry measure zero.
 Every boolean operation, ``normalize`` and ``vc.join`` run one endpoint
 sweep (``segments``): the operands are rescaled to the lcm of their
 denominators, each end becomes a signed step, and walking the steps in
-order gives each segment's membership mask. Other modules keep the format
-behind this one: they read ends only through ``rescaled`` and build unions
-only through ``from_ends`` and ``from_pairs``.
+order gives each segment's membership mask; ``from_sweep`` builds the
+result unchecked, since the sweep already emits ascending ends in range.
+Other modules keep the format behind this one: they read ends only through
+``rescaled`` and build unions only through ``from_ends``, ``from_pairs``
+and, for sweep output, ``from_sweep``.
 
 A small text form is supported for configs and reports::
 
@@ -91,16 +93,12 @@ class IntervalUnion:
     def __init__(self, parts: Sequence[Interval] = ()):
         rats = [x for p in parts for x in (p.lo, p.hi)]
         den = lcm(*(x.denominator for x in rats))
-        self._set(den, [x.numerator * (den // x.denominator) for x in rats])
+        u = IntervalUnion.from_ends(den, [x.numerator * (den // x.denominator) for x in rats])
+        self.den, self.ends = u.den, u.ends
 
     @classmethod
     def from_ends(cls, den: int, ends: Iterable[int]) -> "IntervalUnion":
         """The union of [ends[2i]/den, ends[2i+1]/den); ends strictly ascending in [0, den]."""
-        u = cls.__new__(cls)
-        u._set(den, ends)
-        return u
-
-    def _set(self, den: int, ends) -> None:
         ends = tuple(ends)
         if den < 1 or len(ends) % 2:
             raise ValueError(f"need den >= 1 and an even number of ends, got {den}, {len(ends)}")
@@ -108,11 +106,7 @@ class IntervalUnion:
             raise ValueError(f"ends outside [0, {den}]")
         if any(a >= b for a, b in zip(ends, ends[1:])):
             raise ValueError("parts not normalized: ends must be strictly ascending")
-        g = gcd(den, *ends)
-        if g > 1:
-            den, ends = den // g, tuple(e // g for e in ends)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ends", ends)
+        return from_sweep(den, ends)
 
     # -- basic queries ----------------------------------------------------
 
@@ -196,6 +190,21 @@ class IntervalUnion:
         return total
 
 
+def from_sweep(den: int, ends: Sequence[int]) -> IntervalUnion:
+    """The union of ends a sweep emits: den >= 1, ends strictly ascending in [0, den].
+
+    The one reduction by gcd(den, *ends), which equality relies on. The
+    ends are not checked, so only a sweep's own output may come here;
+    ``from_ends`` checks other ends and then reduces them here.
+    """
+    g = gcd(den, *ends)
+    if g > 1:
+        den, ends = den // g, [e // g for e in ends]
+    u = object.__new__(IntervalUnion)
+    u.den, u.ends = den, tuple(ends)
+    return u
+
+
 EMPTY = IntervalUnion()
 FULL = IntervalUnion.from_ends(1, (0, 1))
 
@@ -246,7 +255,7 @@ def _kept(den: int, segs, keep: Callable[[int], bool]) -> IntervalUnion:
                 ends[-1] = hi
             else:
                 ends += (lo, hi)
-    return IntervalUnion.from_ends(den, ends)
+    return from_sweep(den, ends)
 
 
 def rescaled(sets: Sequence[IntervalUnion], den: int = 1) -> tuple[int, list[tuple[int, ...]]]:
@@ -259,8 +268,10 @@ def from_pairs(den: int, pairs: Iterable[tuple[int, int]]) -> IntervalUnion:
     """Union of raw integer pairs [lo/den, hi/den), by the sweep with weight 1 each.
 
     Overlapping and touching pairs merge and pairs with lo == hi vanish;
-    a pair outside 0 <= lo <= hi <= den raises ValueError.
+    den below 1 or a pair outside 0 <= lo <= hi <= den raises ValueError.
     """
+    if den < 1:
+        raise ValueError(f"need den >= 1, got {den}")
     steps: dict[int, int] = {}
     for a, b in pairs:
         if not 0 <= a <= b <= den:

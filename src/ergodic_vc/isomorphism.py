@@ -13,8 +13,10 @@ denominator, read by ``intervals.rescaled``; one tiling check validates the
 rows and their inverse, and points, images and preimages bisect them.
 
 The classical doubling example: with C_i the union of the even order-(i+1)
-dyadic intervals, the stage-n map agrees with x -> 2x mod 1 up to the cell
-measure 2**-n; ``doubling_map_deviation`` checks this on a dyadic grid.
+dyadic intervals, the stage-n map differs from x -> 2x mod 1 by at most half
+the cell measure, 2**-(n+1), and by exactly that at x = 1/2, so its sup over
+any dyadic grid is exactly half the cell measure. ``doubling_deviation``
+computes that sup by one integer walk of the map's rows against the grid.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .intervals import IntervalUnion, from_pairs, parse_union, rescaled
 from .vc import join
@@ -135,18 +138,21 @@ def build_map(sets) -> PiecewiseTranslation:
 
     The join cells are packed in stage order: at stage j the cell inside
     C_j precedes the one outside it, with C_1 deciding first, and each
-    cell's block starts at the total measure of the cells before it.
+    cell's block starts at the total measure of the cells before it,
+    summed as an integer over the cells' common denominator.
     """
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one set")
     n = len(sets)
     cells = join(sets).cells
+    order = sorted(cells, key=lambda m: [not m >> j & 1 for j in range(n)])
+    den, ends = rescaled([cells[mask] for mask in order])
     pieces = []
-    beta = Fraction(0)
-    for mask in sorted(cells, key=lambda m: [not m >> j & 1 for j in range(n)]):
-        pieces.append(Piece(cells[mask], beta))
-        beta += cells[mask].measure
+    at = 0
+    for mask, e in zip(order, ends):
+        pieces.append(Piece(cells[mask], Fraction(at, den)))
+        at += sum(e[1::2]) - sum(e[::2])
     return PiecewiseTranslation(pieces, n)
 
 
@@ -199,8 +205,26 @@ def doubling_map(n: int) -> PiecewiseTranslation:
     return build_map([doubling_comb(i) for i in range(1, n + 1)])
 
 
+def doubling_deviation(phi: PiecewiseTranslation, probe_order: int = 10) -> Fraction:
+    """sup over the order-``probe_order`` dyadic grid of |phi(x) - 2x mod 1|.
+
+    One walk of phi's rows (lo, hi, shift) over den against the grid, all
+    over D = lcm(den, 2**probe_order): grid point k / 2**probe_order is
+    k * step with step = D >> probe_order, a row scales by r = D // den, and
+    a point x of a row moves to x + shift * r, while 2x mod 1 is 2x mod D.
+    """
+    D = lcm(phi._den, 1 << probe_order)
+    r, step = D // phi._den, D >> probe_order
+    best = 0
+    for lo, hi, shift in phi._table:
+        s = shift * r
+        for x in range(-(-lo * r // step) * step, hi * r, step):
+            d = abs(x + s - 2 * x % D)
+            if d > best:
+                best = d
+    return Fraction(best, D)
+
+
 def doubling_map_deviation(n: int, probe_order: int = 10) -> Fraction:
     """sup over the order-``probe_order`` dyadic grid of |phi_n(x) - 2x mod 1|."""
-    phi, den = doubling_map(n), 1 << probe_order
-    grid = [Fraction(k, den) for k in range(den)]
-    return max(abs(phi.apply(x) - 2 * x % 1) for x in grid)
+    return doubling_deviation(doubling_map(n), probe_order)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ResourceLimitError
-from .intervals import IntervalUnion, SetFamily, segments
+from .intervals import IntervalUnion, SetFamily, from_sweep, segments
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def join(sets, cap: int = 20) -> JoinPartition:
 
     Each segment of ``intervals.segments`` joins the cell of its mask.
     Neighbouring segments differ in mask, so each cell's parts come out
-    sorted and non-touching.
+    sorted and non-touching, which lets ``from_sweep`` build the cells.
 
     Cells partition [0, 1) exactly; empty cells are absent. ``cap`` bounds
     the number of input sets, since the cell count can reach 2**len(sets).
@@ -185,7 +185,7 @@ def join(sets, cap: int = 20) -> JoinPartition:
     raw: dict[int, list] = {}
     for lo, hi, mask in segs:
         raw.setdefault(mask, []).extend((lo, hi))
-    cells = {mask: IntervalUnion.from_ends(den, ends) for mask, ends in raw.items()}
+    cells = {mask: from_sweep(den, ends) for mask, ends in raw.items()}
     return JoinPartition(sets, cells)
 
 

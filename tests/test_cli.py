@@ -204,6 +204,82 @@ def test_integral_float_in_each_integer_key_runs_as_its_integer(invoke, tmp_path
     assert (code, out, err) == invoke(["converge", "--config", str(as_int)])
 
 
+# The isomorphism reports as printed before the probe walk and the single map
+# build, without the wall_time line.
+FROZEN_ISOMORPHISM = {
+    "--stage 8": """\
+{
+  "command": "isomorphism",
+  "config": {},
+  "defect": {
+    "den": 1,
+    "f64": 0.0,
+    "num": 0
+  },
+  "doubling_grid": 1024,
+  "doubling_sup": {
+    "den": 512,
+    "f64": 0.001953125,
+    "num": 1
+  },
+  "pieces": 256,
+  "probes": 126,
+  "stages": 8,
+  "version": "0.1.0",
+}
+""",
+    "--stage 12": """\
+{
+  "command": "isomorphism",
+  "config": {},
+  "defect": {
+    "den": 1,
+    "f64": 0.0,
+    "num": 0
+  },
+  "doubling_grid": 1024,
+  "doubling_sup": {
+    "den": 8192,
+    "f64": 0.0001220703125,
+    "num": 1
+  },
+  "pieces": 4096,
+  "probes": 126,
+  "stages": 12,
+  "version": "0.1.0",
+}
+""",
+    "--stage 4 --probe-order 16": """\
+{
+  "command": "isomorphism",
+  "config": {},
+  "defect": {
+    "den": 1,
+    "f64": 0.0,
+    "num": 0
+  },
+  "doubling_grid": 65536,
+  "doubling_sup": {
+    "den": 32,
+    "f64": 0.03125,
+    "num": 1
+  },
+  "pieces": 16,
+  "probes": 126,
+  "stages": 4,
+  "version": "0.1.0",
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_ISOMORPHISM))
+def test_isomorphism_report_bytes_frozen(invoke, argv):
+    code, out, _ = invoke(["isomorphism"] + argv.split())
+    assert code == 0
+    assert re.sub(r'  "wall_time": [0-9.e-]+\n', "", out) == FROZEN_ISOMORPHISM[argv]
+
+
 def test_isomorphism_doubling_report(invoke):
     code, out, _ = invoke(["isomorphism", "--stage", "5"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from ergodic_vc import (
     iid_spec,
     induce,
     iu,
+    join,
     normalize,
 )
 from ergodic_vc.intervals import ceil_fixed, from_pairs, rescaled
@@ -154,6 +156,20 @@ def test_sweep_matches_pointwise_boolean_algebra(pa, pb):
         assert again == result and hash(again) == hash(result)
 
 
+@given(raw_pairs(), raw_pairs(), st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60))))
+def test_sweep_output_is_what_from_ends_builds(pa, pb, int_pairs):
+    """The unchecked sweep constructor gives exactly the validated, reduced fields."""
+    a, b = normalize(pa), normalize(pb)
+    results = [a, b, ~a, a & b, a | b, a - b, a ^ b]
+    results.append(from_pairs(60, [(min(p), max(p)) for p in int_pairs]))
+    results += join([a, b, a ^ b]).cells.values()
+    for u in results:
+        again = IntervalUnion.from_ends(u.den, u.ends)
+        assert (again.den, again.ends) == (u.den, u.ends)
+        assert type(u.ends) is tuple
+        assert gcd(u.den, *u.ends) == 1
+
+
 def test_equal_sets_from_different_denominators_are_equal():
     half = iu("[0,1/2)")
     for other in (
@@ -199,6 +215,8 @@ def test_rescaled_reads_ends_over_one_den_and_from_pairs_rebuilds():
     for pairs in ([(3, 2)], [(0, 61)], [(-1, 2)]):
         with pytest.raises(ValueError):
             from_pairs(den, pairs)
+    with pytest.raises(ValueError):
+        from_pairs(0, [])
 
 
 def test_only_intervals_reads_the_integer_format():

@@ -10,6 +10,7 @@ from ergodic_vc import (
     PiecewiseTranslation,
     build_map,
     doubling_comb,
+    doubling_deviation,
     doubling_map,
     doubling_map_deviation,
     image_of_union,
@@ -198,5 +199,32 @@ def test_doubling_deviation_frozen_stage8():
 
 
 def test_doubling_deviation_within_stated_rate():
-    for n in (3, 5, 8):
-        assert doubling_map_deviation(n, probe_order=10) <= F(1, 1 << (n - 1))
+    for n in range(1, 13):
+        phi = doubling_map(n)
+        for probe_order in (10, 14):
+            assert doubling_deviation(phi, probe_order) == F(1, 1 << (n + 1))
+
+
+def reference_deviation(phi, probe_order):
+    """The per-point form: one Fraction per grid point, through ``apply``."""
+    den = 1 << probe_order
+    grid = [Fraction(k, den) for k in range(den)]
+    return max(abs(phi.apply(x) - 2 * x % 1) for x in grid)
+
+
+def test_probe_walk_matches_per_point_reference():
+    # Probe orders 1..12 give grids both coarser and finer than the cells.
+    for n in range(1, 11):
+        phi = doubling_map(n)
+        for probe_order in range(1, 13):
+            want = reference_deviation(phi, probe_order)
+            assert doubling_deviation(phi, probe_order) == want
+    assert doubling_map_deviation(6, 9) == reference_deviation(doubling_map(6), 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(mixed_union_strategy(), min_size=1, max_size=4), st.integers(1, 8))
+def test_probe_walk_matches_reference_off_dyadic_grids(set_specs, probe_order):
+    # Cells on thirds, fifths and 63rds put the walk on D = lcm(den, 2**order).
+    phi = build_map([mixed_union(den, cells) for den, cells in set_specs])
+    assert doubling_deviation(phi, probe_order) == reference_deviation(phi, probe_order)
