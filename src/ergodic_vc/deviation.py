@@ -16,10 +16,18 @@ Both suprema run on integers and build one ``Fraction`` per result. A
 family is scored from compiled rows (thresholds, measure numerator, measure
 denominator), cached on the ``SetFamily``: per prefix each distinct
 threshold is bisected once, a member's count is the alternating sum of its
-thresholds' ranks, and members are compared by cross-multiplication. The
-k-interval DP keeps two integer lists of "at most r runs" totals and
-updates them in place, one pass per weight list. A seeded trace compiles
-its family's rows once, in the parent, and every seed's job scores them.
+thresholds' ranks, and members are compared by cross-multiplication. A
+seeded trace compiles its family's rows once, in the parent, and every
+seed's job scores them.
+
+The k-interval DP makes one pass over the blocks B_t = atom_t + gap_t
+between 0, the prefix's distinct points and 1 (an atom counts the points
+at a block's left end, a gap weighs the block's measure). Atoms are not
+negative and gaps are, so three identities put all four selections on the
+blocks: a positive run over atoms a..b is worth B_a + .. + B_b - gap_b; a
+negative run starts and ends on gaps, worth -(gap_{a-1} + B_a + .. + B_b);
+and an attained union is a plain run of B or of -B. Each block updates four
+in-place integer "at most r runs" tables in one downward loop over r.
 """
 
 from __future__ import annotations
@@ -128,69 +136,81 @@ class KIntervalDeviation:
     attained_value: Fraction
 
 
-def _max_k_segments(weights, k: int) -> int:
-    """Max total of at most k disjoint nonempty runs (empty choice = 0).
-
-    out[r] is the best total of at most r runs so far, and inn[r] the best
-    with at most r runs, the last ending at the current weight. Looping r
-    downward reads out[r - 1] from before this weight, so a new run starts
-    strictly after the runs it follows.
-    """
-    out = [0] * (k + 1)
-    inn = [0] * (k + 1)
-    down = range(k, 0, -1)
-    for w in weights:
-        for r in down:
-            a, b = inn[r], out[r - 1]
-            a = (a if a > b else b) + w
-            inn[r] = a
-            if a > out[r]:
-                out[r] = a
-    return out[k]
-
-
 def max_deviation_k_intervals(
     path: SamplePath, m: int, k: int, cost_cap: int = 50_000_000
 ) -> KIntervalDeviation:
     """Exact sup over unions of <= k half-open intervals of |frequency - measure|.
 
-    Split into a positive excess (frequency above measure) and a negative
-    excess; each is a best-choice of at most k disjoint runs over the
-    alternating gap / sample-point sequence, solved by dynamic programming
-    on integer weights at scale m * 2**precision. Runs never benefit from
-    partially covered gaps, so the element-level optimum is the true
-    supremum. Attainability is decided by re-running the selection over the
-    m+1 half-open blocks [e_t, e_{t+1}) with endpoints drawn from the
-    samples and 0, 1: exactly the unions realizable without limits.
+    Let e_0 = 0 < e_1 < .. < e_r be 0 and the prefix's distinct points, and
+    e_{r+1} = 1. Block t is [e_t, e_{t+1}), weighted at scale
+    m * 2**precision as B_t = atom_t + gap_t: atom_t = count * 2**precision
+    for the points at e_t (atom_0 = 0 when none sits at 0) and
+    gap_t = -m * (e_{t+1} - e_t) < 0. The supremum is the best total of at
+    most k disjoint runs of the elements atom_0, gap_0, .., atom_r, gap_r
+    (positive excess) or of their negatives (negative excess): runs never
+    benefit from partially covered gaps. An actual union is a run of blocks.
+
+    One pass over the blocks solves all four selections, since a run loses
+    nothing by dropping an end element of the wrong sign:
+
+    * positive excess: a run starts and ends on atoms, so the run over atoms
+      a..b is worth B_a + .. + B_b - gap_b;
+    * negative excess: a run starts and ends on gaps, so it is worth
+      -(gap_{a-1} + B_a + .. + B_b);
+    * attained optimum: plain runs of B and of -B.
+
+    Each selection keeps integer tables inn[r] (best of at most r runs, the
+    last still open) and out[r] (best of at most r closed runs), updated in
+    place. Looping r downward reads out[r - 1] from before the block, so a
+    new run starts strictly after the runs it follows.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k * m > cost_cap:
         raise ResourceLimitError(f"k*m = {k * m} exceeds cost cap {cost_cap}")
     scale = 1 << path.precision
-    # weights = [gap_0, atom_1, gap_1, .., atom_r, gap_r] over the distinct
-    # points v_1 < .. < v_r: atom_t = count * scale, gap_t = -m * (v_{t+1} -
-    # v_t) with v_0 = 0 and v_{r+1} = 1. The positive excess picks runs of
-    # these, the negative excess runs of their negatives; the boundary gaps
-    # are <= 0, so they never help the positive side.
-    weights: list[int] = []
+    atoms, gaps = [0], []
     prev = 0
     for n in path.sorted_fixed(m):
-        if weights and n == prev:
-            weights[-1] += scale
+        if n == prev:
+            atoms[-1] += scale
         else:
-            weights += (m * (prev - n), scale)
+            gaps.append(m * (prev - n))
+            atoms.append(scale)
             prev = n
-    weights.append(m * (prev - scale))
-    sup_best = max(_max_k_segments(weights, k), _max_k_segments([-w for w in weights], k))
+    gaps.append(m * (prev - scale))
 
-    # Attainable optimum: runs of half-open blocks [e_t, e_{t+1}) over the
-    # endpoint grid e = (0, v_1, .., v_r, 1); block t >= 1 holds atom_t and
-    # the gap after it, block 0 the first gap alone.
-    attain = [weights[0]] + [a + g for a, g in zip(weights[1::2], weights[2::2])]
-    attained_best = max(
-        _max_k_segments(attain, k), _max_k_segments([-w for w in attain], k)
-    )
+    # (inn, out) tables: p positive and n negative excess, a attained runs
+    # of B and u of -B. A positive run closes on its atom, before the gap.
+    pin, pout, nin, nout, ain, aout, uin, uout = ([0] * (k + 1) for _ in range(8))
+    down = [(r, r - 1) for r in range(k, 0, -1)]
+    for atom, gap in zip(atoms, gaps):
+        w = atom + gap
+        for r, q in down:
+            a, b = pin[r], pout[q]
+            a = (a if a > b else b) + w
+            pin[r] = a
+            a -= gap
+            if a > pout[r]:
+                pout[r] = a
+            a, b = nin[r] - w, nout[q] - gap
+            if b > a:
+                a = b
+            nin[r] = a
+            if a > nout[r]:
+                nout[r] = a
+            a, b = ain[r], aout[q]
+            a = (a if a > b else b) + w
+            ain[r] = a
+            if a > aout[r]:
+                aout[r] = a
+            a, b = uin[r], uout[q]
+            a = (a if a > b else b) - w
+            uin[r] = a
+            if a > uout[r]:
+                uout[r] = a
+    sup_best = max(pout[k], nout[k])
+    attained_best = max(aout[k], uout[k])
     denom = m * scale
     return KIntervalDeviation(
         Fraction(sup_best, denom),

@@ -133,6 +133,15 @@ def _translate(rows, den: int, u: IntervalUnion) -> IntervalUnion:
     return from_pairs(D, pairs)
 
 
+def _stage_key(mask: int, n: int) -> int:
+    """Sort key for stage order: the bit-reversed complement of the n-bit mask.
+
+    Bit j of a join mask is set when the cell lies inside C_{j+1}. Reversal
+    puts C_1's bit on top, and the complement sorts inside before outside.
+    """
+    return int(f"{mask:0{n}b}"[::-1], 2) ^ ((1 << n) - 1)
+
+
 def build_map(sets) -> PiecewiseTranslation:
     """Stage-n map of the filtration C_1..C_n given as ``sets``.
 
@@ -146,7 +155,7 @@ def build_map(sets) -> PiecewiseTranslation:
         raise ValueError("need at least one set")
     n = len(sets)
     cells = join(sets).cells
-    order = sorted(cells, key=lambda m: [not m >> j & 1 for j in range(n)])
+    order = sorted(cells, key=lambda mask: _stage_key(mask, n))
     den, ends = rescaled([cells[mask] for mask in order])
     pieces = []
     at = 0

@@ -30,7 +30,6 @@ from ergodic_vc import (
     trajectory_family,
     uniform_deviation,
 )
-from ergodic_vc.deviation import _max_k_segments
 from ergodic_vc.families import half_interval_class as _half
 from ergodic_vc.oracles import brute_k_interval_sup
 
@@ -190,6 +189,18 @@ def test_k_interval_sup_matches_brute(seed, m, k):
     assert res.attained_value <= res.value <= 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=6), st.data(), st.integers(1, 3))
+def test_k_interval_sup_matches_brute_on_repeated_points(eighths, data, k):
+    # iid points at 128 bits never repeat or hit 0; a coarse grid gives atoms
+    # with counts above 1 and an empty first gap.
+    path = path_from([F(v, 8) for v in eighths])
+    m = data.draw(st.integers(1, path.length))
+    res = max_deviation_k_intervals(path, m, k)
+    assert res.value == brute_k_interval_sup(path, m, k)
+    assert res.attained_value <= res.value <= 1
+
+
 def _combinations_k_interval_sup(path, m, k):
     """The oracle's first form: every t-combination of element windows, overlapping ones dropped."""
     sorted_fixed = path.sorted_fixed(m)
@@ -245,6 +256,68 @@ def test_cut_point_oracle_matches_combinations_form(eighths, data, k):
     path = path_from([F(v, 8) for v in eighths])
     m = data.draw(st.integers(1, path.length))
     assert brute_k_interval_sup(path, m, k) == _combinations_k_interval_sup(path, m, k)
+
+
+def _max_k_segments(weights, k):
+    """Max total of at most k disjoint nonempty runs (empty choice = 0).
+
+    out[r] is the best total of at most r runs so far, and inn[r] the best
+    with at most r runs, the last ending at the current weight. Looping r
+    downward reads out[r - 1] from before this weight, so a new run starts
+    strictly after the runs it follows.
+    """
+    out = [0] * (k + 1)
+    inn = [0] * (k + 1)
+    down = range(k, 0, -1)
+    for w in weights:
+        for r in down:
+            a, b = inn[r], out[r - 1]
+            a = (a if a > b else b) + w
+            inn[r] = a
+            if a > out[r]:
+                out[r] = a
+    return out[k]
+
+
+def _element_k_interval(path, m, k):
+    """(value, attained, attained_value) by four element-level runs of ``_max_k_segments``.
+
+    The DP's first form: runs of the 2r+1 weights [gap_0, atom_1, gap_1, ..,
+    atom_r, gap_r] and of their negatives give the supremum, and runs of
+    the r+1 blocks [gap_0, atom_1 + gap_1, ..] and of their negatives give
+    the attained optimum.
+    """
+    scale = 1 << path.precision
+    weights = []
+    prev = 0
+    for n in path.sorted_fixed(m):
+        if weights and n == prev:
+            weights[-1] += scale
+        else:
+            weights += (m * (prev - n), scale)
+            prev = n
+    weights.append(m * (prev - scale))
+    sup_best = max(_max_k_segments(weights, k), _max_k_segments([-w for w in weights], k))
+    attain = [weights[0]] + [a + g for a, g in zip(weights[1::2], weights[2::2])]
+    attained_best = max(_max_k_segments(attain, k), _max_k_segments([-w for w in attain], k))
+    denom = m * scale
+    return F(sup_best, denom), attained_best == sup_best, F(attained_best, denom)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 7), min_size=1, max_size=30),
+    st.data(),
+    st.integers(1, 4),
+    st.sampled_from([64, 128]),
+)
+def test_block_dp_matches_element_reference(eighths, data, k, precision):
+    # Points on eighths repeat and include 0, so atoms carry counts above 1
+    # and the first gap can be empty.
+    path = SamplePath.from_values([F(v, 8) for v in eighths], precision=precision)
+    m = data.draw(st.integers(1, path.length))
+    res = max_deviation_k_intervals(path, m, k)
+    assert (res.value, res.attained, res.attained_value) == _element_k_interval(path, m, k)
 
 
 def _exhaustive_k_segments(weights, k):

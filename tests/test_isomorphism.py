@@ -18,6 +18,7 @@ from ergodic_vc import (
     measure_preservation_defect,
     normalize,
 )
+from ergodic_vc.isomorphism import _stage_key
 
 F = Fraction
 
@@ -45,6 +46,14 @@ def test_initial_map_sends_set_to_prefix():
     assert phi.apply(F(1, 4)) == 0
     assert phi.apply(F(3, 4)) == F(1, 4)
     assert phi.apply(F(0)) == F(1, 2)
+
+
+def test_stage_key_orders_like_the_per_bit_list_key():
+    # The list form: C_1's bit decides first, and inside (bit set) sorts first.
+    for n in range(1, 11):
+        masks = range(1 << n)
+        want = sorted(masks, key=lambda m: [not m >> j & 1 for j in range(n)])
+        assert sorted(masks, key=lambda m: _stage_key(m, n)) == want
 
 
 def test_refine_orders_inside_before_outside():
