@@ -40,7 +40,7 @@ from itertools import islice
 from statistics import median
 
 from .errors import ResourceLimitError
-from .intervals import IntervalUnion, SetFamily
+from .intervals import IntervalUnion, SetFamily, count_in
 from .processes import ProcessSpec, SamplePath, generate
 from .vc import JoinPartition
 
@@ -56,7 +56,7 @@ class DeviationResult:
 
 def discrepancy(member, path: SamplePath, m: int) -> Fraction:
     """|empirical frequency - measure| of one set on the m-prefix."""
-    hits = member.count_fixed(path.sorted_fixed(m), path.precision)
+    hits = count_in(member.thresholds(path.precision), path.sorted_fixed(m))
     return abs(Fraction(hits, m) - member.measure)
 
 

@@ -20,7 +20,7 @@ guarantees survive the convention.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -324,34 +324,24 @@ def _eval_plan(f: PiecewiseFn, precision: int):
     return bounds, rows
 
 
-def _plan_sums(f: PiecewiseFn, precision: int, fixed, yfixed=None) -> tuple[Fraction, int]:
-    """Exact sum of f over fixed points, plus closed-indicator hits.
+def _plan_sums(f: PiecewiseFn, precision: int, xs, ys=None) -> tuple[Fraction, int]:
+    """Exact sum of f over ascending fixed points xs, plus closed-indicator hits.
 
-    Points are bucketed by piece, so the sum costs one Fraction per piece;
-    hits counts pairs with y <= f(x) when ``yfixed`` is given.
+    Piece i holds the slice of xs between the ranks (``bisect_left``) of
+    its bound and the next one, ``bounds[1:] + [2**P]``, so its x total is
+    one ``sum`` and the sum of f costs one Fraction per piece. When ys is
+    given, paired with xs index by index, hits counts pairs with y <= f(x).
     """
     bounds, rows = _eval_plan(f, precision)
-    sums = [0] * len(rows)
-    cnts = [0] * len(rows)
-    hits = 0
-    if yfixed is None:
-        for n in fixed:
-            i = bisect_right(bounds, n) - 1
-            sums[i] += n
-            cnts[i] += 1
-    else:
-        for n, yf in zip(fixed, yfixed):
-            i = bisect_right(bounds, n) - 1
-            a, b, d = rows[i]
-            if yf * d <= a * n + b:
-                hits += 1
-            sums[i] += n
-            cnts[i] += 1
     scale = 1 << precision
-    total = Fraction(0)
-    for (a, b, d), sn, cnt in zip(rows, sums, cnts):
-        if cnt:
-            total += Fraction(a * sn + b * cnt, d * scale)
+    total, hits, lo = Fraction(0), 0, 0
+    for (a, b, d), t in zip(rows, bounds[1:] + [scale]):
+        hi = bisect_left(xs, t, lo)
+        if hi > lo:
+            total += Fraction(a * sum(xs[lo:hi]) + b * (hi - lo), d * scale)
+            if ys is not None:
+                hits += sum(y * d <= a * x + b for x, y in zip(xs[lo:hi], ys[lo:hi]))
+            lo = hi
     return total, hits
 
 
@@ -368,7 +358,7 @@ def gamma_fn(fns, path: SamplePath, m: int) -> DeviationResult:
     best = Fraction(0)
     arg = None
     for i, f in enumerate(fns):
-        total, _ = _plan_sums(f, path.precision, path.fixed[:m])
+        total, _ = _plan_sums(f, path.precision, path.sorted_fixed(m))
         dev = abs(total / m - f.mean())
         if arg is None or dev > best:
             best, arg = dev, i
@@ -405,17 +395,19 @@ class GraphSample:
                 available=len(self.yfixed),
             )
 
+    def _sorted_pairs(self, m: int) -> tuple[tuple, tuple]:
+        """(xs, ys) of the first m pairs, sorted by x, as ``_plan_sums`` takes them."""
+        self._require(m)
+        return tuple(zip(*sorted(zip(self.path.fixed[:m], self.yfixed[:m]))))
+
     def indicator(self, f: PiecewiseFn, i: int) -> int:
         """I(y_i <= f(x_i)) with the closed inequality, exact (1-based i)."""
         self._require(i)
-        scale = 1 << self.precision
-        v = f(Fraction(self.path.fixed[i - 1], scale))
-        return 1 if self.yfixed[i - 1] * v.denominator <= v.numerator * scale else 0
+        return _plan_sums(f, self.precision, self.path.fixed[i - 1 : i], self.yfixed[i - 1 : i])[1]
 
     def indicator_mean(self, f: PiecewiseFn, m: int) -> Fraction:
         """Empirical frequency of y <= f(x) over the first m pairs."""
-        self._require(m)
-        _, hits = _plan_sums(f, self.precision, self.path.fixed[:m], self.yfixed[:m])
+        _, hits = _plan_sums(f, self.precision, *self._sorted_pairs(m))
         return Fraction(hits, m)
 
 
@@ -490,11 +482,12 @@ def gamma_split(fns, gs: GraphSample, m: int) -> GammaSplit:
             ]
             scale = 2 * env
 
+    xs, ys = gs._sorted_pairs(m)
     gamma = gamma1 = gamma2 = Fraction(-1)
     a0 = a1 = a2 = None
     for i, g in enumerate(evaluated):
         mean_exact = g.mean()
-        total, hits = _plan_sums(g, gs.precision, gs.path.fixed[:m], gs.yfixed[:m])
+        total, hits = _plan_sums(g, gs.precision, xs, ys)
         sample_mean = total / m
         freq = Fraction(hits, m)
         d0 = abs(sample_mean - mean_exact)
@@ -542,8 +535,9 @@ class GraphSet:
 
     def __contains__(self, pair) -> bool:
         xf, yf = pair
-        v = self.fn(Fraction(xf, 1 << self.precision))
-        return yf * v.denominator <= v.numerator * (1 << self.precision)
+        if not 0 <= xf < 1 << self.precision:
+            raise ValueError(f"point {Fraction(xf, 1 << self.precision)} outside [0, 1)")
+        return _plan_sums(self.fn, self.precision, (xf,), (yf,))[1] == 1
 
     def __repr__(self):
         return f"GraphSet({self.fn!r})"

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .errors import InsufficientDataError
 from .deviation import DeviationResult, _sup_deviation
-from .intervals import IntervalUnion, SetFamily, scoring_row
+from .intervals import IntervalUnion, SetFamily, count_in, scoring_row
 from .processes import AtomSet, SamplePath
 
 
@@ -115,13 +115,10 @@ def frequency_transfer_identity(
     if not 1 <= m <= ip.count:
         raise InsufficientDataError(f"identity needs 1 <= m <= {ip.count}", ip.count)
     precision = ip.base.precision
-    induced = ip.induced_fixed[:m]
-    lhs_hits = sum(1 for n in induced if Fraction(n, 1 << precision) in c)
-    lhs = Fraction(lhs_hits, m)
+    lhs = Fraction(count_in(c.thresholds(precision), sorted(ip.induced_fixed[:m])), m)
     tau_m = ip.hits[m - 1]
-    base_prefix = sorted(ip.base.fixed[:tau_m])
     region_c = _intersect_member(c, ip.region)
-    rhs_hits = region_c.count_fixed(base_prefix, precision)
+    rhs_hits = count_in(region_c.thresholds(precision), sorted(ip.base.fixed[:tau_m]))
     pacing = ip.region.measure * Fraction(tau_m, m)
     rhs = (1 / ip.region.measure) * pacing * Fraction(rhs_hits, tau_m)
     return TransferIdentity(lhs, rhs, pacing)
@@ -130,8 +127,9 @@ def frequency_transfer_identity(
 def _intersect_member(c, region: IntervalUnion):
     if isinstance(c, IntervalUnion):
         return c.intersect(region)
-    # Finite atom member: keep atoms inside the region.
-    kept = [n for n, x in zip(c.fixed, c.atoms()) if x in region]
+    # Finite atom member: keep atoms inside the region, tested as ``induce`` does.
+    thresholds = region.thresholds(c.precision)
+    kept = [n for n in c.fixed if bisect_right(thresholds, n) % 2]
     return AtomSet(kept, c.precision)
 
 

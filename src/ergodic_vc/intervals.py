@@ -16,6 +16,10 @@ Other modules keep the format behind this one: they read ends only through
 ``rescaled`` and build unions only through ``from_ends``, ``from_pairs``
 and, for sweep output, ``from_sweep``.
 
+Points are counted one way: ``count_in`` takes a member's ``thresholds``
+and an ascending prefix of fixed-point numerators, and returns the
+alternating sum of the thresholds' ranks in it.
+
 A small text form is supported for configs and reports::
 
     union := term (' u ' term)*
@@ -173,21 +177,20 @@ class IntervalUnion:
         """``ceil_fixed`` of every end, at the given precision.
 
         The point n / 2**precision lies in the union exactly when an odd
-        number of thresholds are <= n.
+        number of thresholds are <= n; ``count_in`` counts a sorted prefix.
         """
         return [ceil_fixed(e, precision, self.den) for e in self.ends]
 
-    def count_fixed(self, sorted_fixed: Sequence[int], precision: int) -> int:
-        """Count dyadic points n / 2**precision lying in the union.
 
-        ``sorted_fixed`` must be ascending numerators at the given precision.
-        Comparisons against rational endpoints are exact.
-        """
-        total, sign = 0, -1
-        for t in self.thresholds(precision):
-            total += sign * bisect_left(sorted_fixed, t)
-            sign = -sign
-        return total
+def count_in(thresholds: Sequence[int], sorted_fixed: Sequence[int]) -> int:
+    """How many of the ascending numerators ``sorted_fixed`` lie in a member.
+
+    ``thresholds`` are the member's, at the numerators' precision: a point
+    lies inside when an odd number of them are <= it, so the count is the
+    alternating sum -r_0 + r_1 - r_2 + ... of their ranks (``bisect_left``).
+    """
+    ranks = [bisect_left(sorted_fixed, t) for t in thresholds]
+    return sum(ranks[1::2]) - sum(ranks[::2])
 
 
 def from_sweep(den: int, ends: Sequence[int]) -> IntervalUnion:

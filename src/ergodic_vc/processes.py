@@ -423,7 +423,7 @@ def generate(spec: ProcessSpec, count: int, avoid=()) -> SamplePath:
 class AtomSet:
     """Finite set of precision-grid points, carried as a measure-zero member.
 
-    Supports the same membership and counting interface as IntervalUnion so
+    Offers the same membership test and ``thresholds`` as IntervalUnion, so
     set families can mix both. Membership of a rational is exact: it holds
     only when the rational equals an atom on the grid.
     """
@@ -464,13 +464,6 @@ class AtomSet:
         if precision != self.precision:
             raise ValueError("precision mismatch between atoms and path")
         return [t for n in self.fixed for t in (n, n + 1)]
-
-    def count_fixed(self, sorted_fixed, precision: int) -> int:
-        if precision != self.precision:
-            raise ValueError("precision mismatch between atoms and path")
-        return sum(
-            bisect_right(sorted_fixed, n) - bisect_left(sorted_fixed, n) for n in self.fixed
-        )
 
     def __len__(self) -> int:
         return len(self.fixed)

@@ -1,6 +1,5 @@
 """Uniform deviations, KS statistic, exact k-interval maximization, traces."""
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
 
@@ -31,6 +30,7 @@ from ergodic_vc import (
     uniform_deviation,
 )
 from ergodic_vc.families import half_interval_class as _half
+from ergodic_vc.intervals import count_in
 from ergodic_vc.oracles import brute_k_interval_sup
 
 F = Fraction
@@ -105,17 +105,15 @@ def test_row_cache_grows_to_the_largest_budget_and_serves_smaller_ones():
         assert (res.value, res.argmax) == _fresh_dyadic6(upto, path, 500)
 
 
-def test_atom_thresholds_count_like_count_fixed():
+def test_atom_thresholds_count_like_membership():
     precision = 128
     alpha, x0 = golden_alpha_fixed(precision), 12345
     member = trajectory_family(alpha, x0, precision, window=2).member(3)
     # Orbit points, some twice, among iid points: the atoms are hit.
     points = list(generate(rotation_spec(0, alpha, x0, precision), 20).fixed)
     points += points[:5] + list(generate(iid_spec(1), 50).fixed)
-    sorted_fixed = sorted(points)
-    ranks = [bisect_left(sorted_fixed, t) for t in member.thresholds(precision)]
-    hits = sum(ranks[1::2]) - sum(ranks[::2])
-    assert hits == member.count_fixed(sorted_fixed, precision) > 0
+    hits = count_in(member.thresholds(precision), sorted(points))
+    assert hits == sum(F(n, 1 << precision) in member for n in points) > 0
 
 
 def test_atom_precision_mismatch_raises_through_uniform_deviation():
@@ -376,7 +374,7 @@ def test_high_discrepancy_cells_flags_are_consistent():
     sorted_fixed = path.sorted_fixed(300)
     for mask, cell in over.flagged:
         piece = cell.intersect(c)
-        hits = piece.count_fixed(sorted_fixed, path.precision)
+        hits = count_in(piece.thresholds(path.precision), sorted_fixed)
         dev = abs(F(hits, 300) - piece.measure)
         assert dev > eta / 2 * cell.measure
 

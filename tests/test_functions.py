@@ -1,5 +1,6 @@
 """Piecewise-linear classes, discretization, truncation, graph lifts, splits."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from ergodic_vc import (
     truncate_envelope,
     vc_dimension,
 )
+from ergodic_vc.functions import GraphSet, _plan_sums
+from ergodic_vc.intervals import ceil_fixed
 
 F = Fraction
 
@@ -262,6 +265,62 @@ def test_graph_family_membership_and_size():
     y_above = int(f0_val * (1 << 64)) + 1
     assert (x, y_below) in member
     assert (x, y_above) not in member
+
+
+def test_graph_set_rejects_points_outside_the_unit_interval():
+    for precision in (10, 64):
+        member = GraphSet(IDENTITY, precision)
+        for x in (1 << precision, -1):
+            with pytest.raises(ValueError):
+                (x, 0) in member
+
+
+@st.composite
+def plan_cases(draw):
+    """A function, a precision and (x, y) pairs crowding its breakpoints.
+
+    Half the functions are ``discretize_major`` staircases, which jump at
+    their breakpoints, so a point given to the wrong piece changes the sum.
+    x values sit at and next to each inner breakpoint's ``ceil_fixed``, some
+    repeat, and y is often the floor or ceiling of f(x) * 2**P, which is
+    f(x) itself when that product is an integer.
+    """
+    precision = draw(st.sampled_from([10, 64, 128]))
+    f = random_piecewise_fn(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        f = discretize_major(f, 1, draw(st.sampled_from([1, 2, 3, 4, 8])))
+    scale = 1 << precision
+    near = [
+        n
+        for b in f.breakpoints[1:-1]
+        for n in (ceil_fixed(b, precision) + d for d in (-1, 0, 1))
+        if n < scale
+    ]
+    point = st.integers(0, scale - 1)
+    if near:
+        point = st.one_of(st.sampled_from(near), point)
+    xs = draw(st.lists(point, min_size=1, max_size=30))
+    xs += xs[: draw(st.integers(0, len(xs)))]
+    ys = []
+    for x in xs:
+        v = f(F(x, scale)) * scale
+        ys.append(draw(st.one_of(st.sampled_from([math.floor(v), math.ceil(v)]), point)))
+    return f, precision, xs, ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_cases())
+def test_plan_sums_match_a_per_point_recount(case):
+    f, precision, xs, ys = case
+    scale = 1 << precision
+    values = [f(F(x, scale)) for x in xs]
+    inside = [y * v.denominator <= v.numerator * scale for y, v in zip(ys, values)]
+    pairs = sorted(zip(xs, ys))
+    sorted_xs, sorted_ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert _plan_sums(f, precision, sorted_xs, sorted_ys) == (sum(values), sum(inside))
+    assert _plan_sums(f, precision, sorted_xs) == (sum(values), 0)
+    member = GraphSet(f, precision)
+    assert [(x, y) in member for x, y in zip(xs, ys)] == inside
 
 
 def test_ramp_family_shape():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ergodic_vc import (
+    AtomSet,
     InsufficientDataError,
     IntervalUnion,
     SamplePath,
@@ -132,8 +133,13 @@ def test_transfer_identity_holds_on_random_instances(seed, region_cells, c_cells
         ip = induce(path, region, m)
     except InsufficientDataError:
         return
-    ident = frequency_transfer_identity(ip, c, m)
-    assert ident.holds
+    # Both sides count with ``count_in``, so the left side is also recounted
+    # point by point; the atoms are path points, so some induced points hit.
+    induced = ip.induced_path().points()[:m]
+    for member in (c, AtomSet(path.fixed[::3], path.precision)):
+        ident = frequency_transfer_identity(ip, member, m)
+        assert ident.holds
+        assert ident.lhs == F(sum(x in member for x in induced), m)
 
 
 # -- induced deviations ----------------------------------------------------------

@@ -20,7 +20,7 @@ from ergodic_vc import (
     join,
     normalize,
 )
-from ergodic_vc.intervals import ceil_fixed, from_pairs, rescaled
+from ergodic_vc.intervals import ceil_fixed, count_in, from_pairs, rescaled
 
 F = Fraction
 
@@ -226,12 +226,12 @@ def test_only_intervals_reads_the_integer_format():
     assert readers == {"intervals.py"}
 
 
-def test_count_fixed_matches_membership():
+def test_count_in_matches_membership():
     u = iu("[0,1/3) u [1/2,2/3)")
     precision = 8
     fixed = sorted(n for n in range(0, 256, 7))
     direct = sum(1 for n in fixed if F(n, 256) in u)
-    assert u.count_fixed(fixed, precision) == direct
+    assert count_in(u.thresholds(precision), fixed) == direct
 
 
 @given(rat(den_cap=1000))
@@ -254,7 +254,7 @@ def grid_union_and_points(draw):
 def test_fixed_thresholds_match_membership_on_endpoints(case):
     u, points = case
     inside = [i for i, n in enumerate(points, start=1) if F(n, 256) in u]
-    assert u.count_fixed(sorted(points), 8) == len(inside)
+    assert count_in(u.thresholds(8), sorted(points)) == len(inside)
     if inside:
         path = SamplePath(iid_spec(0), 8, tuple(points))
         assert induce(path, u, len(inside)).hits == tuple(inside)

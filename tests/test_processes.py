@@ -22,6 +22,7 @@ from ergodic_vc import (
     stationary_distribution,
     trajectory_family,
 )
+from ergodic_vc.intervals import count_in
 from ergodic_vc.processes import (
     DOMAIN_DOUBLING,
     DOMAIN_FN_GEN,
@@ -343,7 +344,7 @@ def test_atom_set_measure_zero_api():
     assert len(a) == 3
     assert F(5, 128) in a
     assert F(6, 128) not in a
-    assert a.count_fixed([0, 1, 5, 64], 7) == 2
+    assert count_in(a.thresholds(7), [0, 1, 5, 64]) == 2
 
 
 def test_trajectory_family_windows_nest_and_count():
