@@ -330,7 +330,9 @@ def _plan_sums(f: PiecewiseFn, precision: int, xs, ys=None) -> tuple[Fraction, i
     Piece i holds the slice of xs between the ranks (``bisect_left``) of
     its bound and the next one, ``bounds[1:] + [2**P]``, so its x total is
     one ``sum`` and the sum of f costs one Fraction per piece. When ys is
-    given, paired with xs index by index, hits counts pairs with y <= f(x).
+    given, paired with xs index by index, hits counts pairs with y <= f(x);
+    on a constant piece (A = 0) that is y <= B // D, as D > 0 and y is an
+    integer.
     """
     bounds, rows = _eval_plan(f, precision)
     scale = 1 << precision
@@ -339,8 +341,11 @@ def _plan_sums(f: PiecewiseFn, precision: int, xs, ys=None) -> tuple[Fraction, i
         hi = bisect_left(xs, t, lo)
         if hi > lo:
             total += Fraction(a * sum(xs[lo:hi]) + b * (hi - lo), d * scale)
-            if ys is not None:
+            if ys is not None and a:
                 hits += sum(y * d <= a * x + b for x, y in zip(xs[lo:hi], ys[lo:hi]))
+            elif ys is not None:
+                top = b // d
+                hits += len([y for y in ys[lo:hi] if y <= top])
             lo = hi
     return total, hits
 

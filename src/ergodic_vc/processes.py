@@ -445,10 +445,6 @@ class AtomSet:
     def is_empty(self) -> bool:
         return not self.fixed
 
-    def atoms(self) -> tuple[Fraction, ...]:
-        scale = 1 << self.precision
-        return tuple(Fraction(n, scale) for n in self.fixed)
-
     def __contains__(self, x) -> bool:
         x = Fraction(x)
         n = x.numerator << self.precision

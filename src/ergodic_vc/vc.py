@@ -2,7 +2,9 @@
 
 Everything here is finite and exact: families are evaluated on explicit
 point grids, traces are deduplicated bit masks, and the dimension search is
-a depth-first search that extends only shattered subsets of the grid.
+a depth-first search that extends only shattered subsets of the grid. The
+search reads membership by columns (per point, the bit mask of members that
+contain it) and keeps, per shattered set, one member mask per pattern.
 Results are therefore relative to the supplied grid and budget, which the
 caller chooses.
 """
@@ -45,10 +47,15 @@ def _rows(points, members) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def trace_table(points, fam: SetFamily, upto: int) -> TraceTable:
+def _distinct(points) -> tuple:
     points = tuple(points)
     if len(set(points)) != len(points):
         raise ValueError("duplicate points in ground set")
+    return points
+
+
+def trace_table(points, fam: SetFamily, upto: int) -> TraceTable:
+    points = _distinct(points)
     return TraceTable(points, _rows(points, fam.members(upto)), upto)
 
 
@@ -92,34 +99,53 @@ class VcDimension:
 def vc_dimension(fam: SetFamily, upto: int, grid, max_k: int) -> VcDimension:
     """Depth-first dimension search relative to ``grid`` and member budget.
 
-    A point set is a bit mask s over the grid, shattered exactly when the
-    distinct trace rows cut it into 2**|s| patterns. Shattered sets are
-    closed under subsets, so the search extends only shattered sets, adding
-    points in index order, and stops at the first set of size
-    min(max_k, len(grid)). It meets the sets of each size in lexicographic
-    order, so the witness is the first shattered set of the largest size.
+    ``cols[t]`` is the bit mask of members containing grid[t], one
+    membership test per (member, point) as in ``trace_table``. A shattered
+    point set keeps its cells: per pattern on the set, the mask of members
+    that cut that pattern, all nonempty; the empty set has one cell holding
+    every member. Point i with column c extends the set exactly when every
+    cell g splits, 0 != g & c != g, and the child's cells, built in the same
+    pass, are g & c and g & ~c. Shattered sets are closed under subsets, so
+    the search extends only shattered sets, adding points in index order,
+    and stops at the first set of size min(max_k, len(grid)). It meets the
+    sets of each size in lexicographic order, so the witness is the first
+    shattered set of the largest size.
+
+    Cells are disjoint and nonempty, so a set of size d has 2**d <= upto
+    cells, and the search path holds at most 2 * upto cells of at most upto
+    bits each: upto**2 / 4 bytes.
     """
-    grid = tuple(grid)
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    masks = trace_table(grid, fam, upto).distinct_rows()
+    grid = _distinct(grid)
+    cols = [0] * len(grid)
+    for j, member in enumerate(fam.members(upto)):
+        for t, x in enumerate(grid):
+            if x in member:
+                cols[t] |= 1 << j
     top = min(max_k, len(grid))
     best = ()
 
-    def extend(s: int, idxs: tuple) -> bool:
+    def extend(cells: list, idxs: tuple) -> bool:
         nonlocal best
         if len(idxs) > len(best):
             best = idxs
         if len(best) == top:
             return True
-        want = 2 << len(idxs)
         for i in range(idxs[-1] + 1 if idxs else 0, len(grid)):
-            t = s | 1 << i
-            if len({m & t for m in masks}) == want and extend(t, idxs + (i,)):
-                return True
+            c = cols[i]
+            split = []
+            for g in cells:
+                h = g & c
+                if not h or h == g:
+                    break
+                split += (h, g ^ h)
+            else:
+                if extend(split, idxs + (i,)):
+                    return True
         return False
 
-    extend(0, ())
+    extend([(1 << upto) - 1], ())
     dim = len(best)
     return VcDimension(dim, tuple(grid[i] for i in best), dim == max_k)
 

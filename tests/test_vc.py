@@ -5,9 +5,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ergodic_vc import (
+    AtomSet,
     SetFamily,
     dyadic_class,
     full_join_witness,
@@ -26,6 +27,7 @@ from ergodic_vc import (
 )
 from ergodic_vc.errors import ResourceLimitError
 from ergodic_vc.oracles import brute_shatter_coefficient, brute_vc_dimension
+from ergodic_vc.vc import VcDimension
 
 F = Fraction
 
@@ -85,6 +87,86 @@ def test_dimension_of_empty_grid_or_budget_is_zero(points, upto):
     fam = dyadic_class(2)
     res = vc_dimension(fam, upto, points, max_k=3)
     assert (res.dim, res.witness, res.at_cap) == (0, (), False)
+
+
+def _reference_vc_dimension(fam, upto, grid, max_k):
+    """The row-wise search: a set s is extended by point i when the distinct
+    trace rows cut s | 1 << i into 2**(|s| + 1) patterns."""
+    grid = tuple(grid)
+    if max_k < 1:
+        raise ValueError("max_k must be >= 1")
+    masks = trace_table(grid, fam, upto).distinct_rows()
+    top = min(max_k, len(grid))
+    best = ()
+
+    def extend(s, idxs):
+        nonlocal best
+        if len(idxs) > len(best):
+            best = idxs
+        if len(best) == top:
+            return True
+        want = 2 << len(idxs)
+        for i in range(idxs[-1] + 1 if idxs else 0, len(grid)):
+            t = s | 1 << i
+            if len({m & t for m in masks}) == want and extend(t, idxs + (i,)):
+                return True
+        return False
+
+    extend(0, ())
+    dim = len(best)
+    return VcDimension(dim, tuple(grid[i] for i in best), dim == max_k)
+
+
+_MEMBER = st.one_of(
+    st.lists(st.integers(0, 63), min_size=1, max_size=6).map(random_union),
+    st.lists(st.integers(0, 63), max_size=6).map(lambda js: AtomSet([2 * j + 1 for j in js], 7)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 63), max_size=10, unique=True),
+    st.lists(_MEMBER, max_size=10),
+    st.lists(st.integers(0, 9), max_size=4),
+    st.integers(0, 14),
+)
+@example(point_cells=[3, 9, 20], members=[], dups=[], budget=0)
+@example(
+    point_cells=[3, 9, 20],
+    members=[iu("[0,1/8)"), AtomSet([19, 41], 7), iu("[1/8,1/2)")],
+    dups=[0, 1],
+    budget=3,
+)
+def test_cell_search_matches_the_row_search(point_cells, members, dups, budget):
+    pts = [F(2 * j + 1, 128) for j in sorted(point_cells)]
+    members = members + [members[d % len(members)] for d in dups if members]
+    fam = SetFamily.of("mixed", members)
+    upto = min(budget, fam.size)
+    for max_k in range(1, len(pts) + 2):
+        assert vc_dimension(fam, upto, pts, max_k) == _reference_vc_dimension(fam, upto, pts, max_k)
+
+
+def test_dimension_search_tests_each_member_at_each_point_once():
+    calls = []
+
+    class Counted:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __contains__(self, x):
+            calls.append(x)
+            return x in self.inner
+
+    base = k_interval_class(2, 3)
+    fam = SetFamily.of("counted", [Counted(base.member(i)) for i in range(base.size)])
+    pts = grid(3)
+    upto = fam.size - 3
+    assert vc_dimension(fam, upto, pts, max_k=len(pts)).dim == 4
+    assert len(calls) == upto * len(pts)
+    calls.clear()
+    with pytest.raises(ValueError, match="duplicate points"):
+        vc_dimension(fam, upto, pts + pts[:1], max_k=2)
+    assert calls == []
 
 
 def test_repeated_points_are_not_shattered():
