@@ -12,7 +12,9 @@ appear only in human-facing summaries. The package splits into:
 * ``processes``: seeded fixed-point sample paths (iid, rotation,
   doubling, Markov) and measure-zero orbit-atom families.
 * ``deviation``: uniform empirical deviations, KS statistic, exact
-  k-interval deviation maximization, seeded trace bundles.
+  k-interval deviation maximization, the join cells where a set's local
+  deviation overshoots, seeded trace bundles whose jobs carry the process
+  spec and the family's compiled rows.
 * ``isomorphism``: stagewise piecewise-translation straightening maps.
 * ``induced``: first-return paths, pacing ratios, the induced-frequency
   transfer identity and deviation transfer bound.
@@ -50,12 +52,10 @@ from .functions import (
     discretize_major,
     gamma_fn,
     gamma_split,
-    graph_family,
     graph_lift,
     lm_bound,
     ramp_family,
     random_piecewise_fn,
-    sublevel_family,
     truncate_envelope,
 )
 from .induced import (
@@ -104,7 +104,6 @@ from .vc import (
     join,
     sauer_bound,
     shatter_coefficient,
-    trace_table,
     union_family,
     vc_dimension,
 )

@@ -304,10 +304,11 @@ def _cmd_counterexample(args, config) -> int:
     m_max = args.m
     x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)
     spec = rotation_spec(seed=seed, x0_fixed=x0, precision=precision)
+    alpha = spec.params["alpha_fixed"]
+    # The orbit family starts at x_1; building it first rejects a bad
+    # window before any point is generated.
+    fam = trajectory_family(alpha, (x0 + alpha) % (1 << precision), precision, window)
     path = generate(spec, m_max)
-    fam = trajectory_family(
-        spec.params["alpha_fixed"], path.fixed[0], precision, window
-    )
     upto = max(2, -(-(m_max - 1) // window) if m_max > 1 else 1)
     grid = sorted({v for v in (1, 10, 100, 1000, 10_000) if v < m_max} | {m_max})
     rows = [_CSV_HEADER]

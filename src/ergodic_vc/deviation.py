@@ -18,7 +18,7 @@ denominator), cached on the ``SetFamily``: per prefix each distinct
 threshold is bisected once, a member's count is the alternating sum of its
 thresholds' ranks, and members are compared by cross-multiplication. A
 seeded trace compiles its family's rows once, in the parent, and every
-seed's job scores them.
+seed's job carries the process spec itself and those rows.
 
 The k-interval DP makes one pass over the blocks B_t = atom_t + gap_t
 between 0, the prefix's distinct points and 1 (an atom counts the points
@@ -294,9 +294,8 @@ class TraceBundle:
 
 
 def _trace_one(args) -> DeviationTrace:
-    spec_json, rows, m_grid, seed, avoid = args
-    spec = ProcessSpec.from_json(spec_json).with_seed(seed)
-    path = generate(spec, m_grid[-1], avoid=avoid)
+    spec, rows, m_grid, seed = args
+    path = generate(spec.with_seed(seed), m_grid[-1])
     values, argmax = zip(*(_sup_deviation(rows, path.sorted_fixed(m)) for m in m_grid))
     return DeviationTrace(seed, m_grid, values, argmax)
 
@@ -315,25 +314,25 @@ def deviation_trace(
     spec: ProcessSpec,
     m_grid,
     seeds,
-    avoid=(),
     workers: int = 1,
 ) -> TraceBundle:
     """Per-seed uniform-deviation traces over an ascending m grid.
 
     The first ``upto`` members are compiled to integer rows once, at the
-    spec's precision, and each job carries the rows (they pickle; a
-    family's member closures may not). Results are ordered by the seed list
-    regardless of worker count, and medians are exact rationals. An empty
-    seed list, or an m grid that is empty, not strictly ascending or below
-    1, raises ValueError before any job starts, and so does a budget beyond
-    the family or a precision the family's members cannot be compiled at.
+    spec's precision, and each job carries the spec and the rows (both
+    pickle; a family's member closures may not). Results are ordered by the
+    seed list regardless of worker count, and medians are exact rationals.
+    An empty seed list, or an m grid that is empty, not strictly ascending
+    or below 1, raises ValueError before any job starts, and so does a
+    budget beyond the family or a precision the family's members cannot be
+    compiled at.
     """
     m_grid, seeds = tuple(m_grid), list(seeds)
     ascending = all(a < b for a, b in zip(m_grid, m_grid[1:]))
     if not (seeds and m_grid and m_grid[0] >= 1 and ascending):
         raise ValueError("need seeds, and an m grid that is nonempty, strictly ascending and >= 1")
     rows = fam.rows(upto, spec.precision)[:upto]
-    jobs = [(spec.to_json(), rows, m_grid, seed, tuple(avoid)) for seed in seeds]
+    jobs = [(spec, rows, m_grid, seed) for seed in seeds]
     traces = fan_out(_trace_one, jobs, workers)
     medians = tuple(
         median([t.values[i] for t in traces]) for i in range(len(m_grid))

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .deviation import DeviationResult
 from .errors import InsufficientDataError
-from .intervals import IntervalUnion, SetFamily, ceil_fixed, normalize
+from .intervals import IntervalUnion, ceil_fixed, normalize
 from .processes import _MASK64, DOMAIN_FN_GEN, DOMAIN_YLIFT, SamplePath, fixed_uniform, uniforms
 
 
@@ -171,14 +171,6 @@ class PiecewiseFn:
             ],
             "bound": rat(self.bound),
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PiecewiseFn":
-        return PiecewiseFn(
-            [Fraction(b) for b in obj["breakpoints"]],
-            [(Fraction(s), Fraction(c)) for s, c in obj["pieces"]],
-            Fraction(obj["bound"]),
-        )
 
 
 def _merged_staircase(cuts, values, bound) -> PiecewiseFn:
@@ -405,11 +397,6 @@ class GraphSample:
         self._require(m)
         return tuple(zip(*sorted(zip(self.path.fixed[:m], self.yfixed[:m]))))
 
-    def indicator(self, f: PiecewiseFn, i: int) -> int:
-        """I(y_i <= f(x_i)) with the closed inequality, exact (1-based i)."""
-        self._require(i)
-        return _plan_sums(f, self.precision, self.path.fixed[i - 1 : i], self.yfixed[i - 1 : i])[1]
-
     def indicator_mean(self, f: PiecewiseFn, m: int) -> Fraction:
         """Empirical frequency of y <= f(x) over the first m pairs."""
         _, hits = _plan_sums(f, self.precision, *self._sorted_pairs(m))
@@ -447,10 +434,6 @@ class GammaSplit:
     gamma_argmax: int | None
     gamma1_argmax: int | None
     gamma2_argmax: int | None
-
-    @property
-    def gamma_original(self) -> Fraction:
-        return self.scale * self.gamma
 
 
 def gamma_split(fns, gs: GraphSample, m: int) -> GammaSplit:
@@ -518,39 +501,6 @@ def lm_bound(m: int, v: int) -> float:
     if m < 1 or v < 0:
         raise ValueError("need m >= 1 and v >= 0")
     return 2 * math.sqrt((math.log(2) + v * math.log(m + 1)) / m)
-
-
-def sublevel_family(f: PiecewiseFn, alphas, name: str = "sublevel") -> SetFamily:
-    """Family of half-open sublevel sets {f <= alpha} over the given alphas."""
-    return SetFamily.of(name, (f.sublevel(a) for a in alphas))
-
-
-class GraphSet:
-    """Region under a function graph, as a member over fixed-point pairs.
-
-    A pair (xf, yf) at the stored precision is a member when
-    yf / 2^P <= f(xf / 2^P), with the closed inequality, exactly.
-    """
-
-    __slots__ = ("fn", "precision")
-
-    def __init__(self, fn: PiecewiseFn, precision: int):
-        self.fn = fn
-        self.precision = precision
-
-    def __contains__(self, pair) -> bool:
-        xf, yf = pair
-        if not 0 <= xf < 1 << self.precision:
-            raise ValueError(f"point {Fraction(xf, 1 << self.precision)} outside [0, 1)")
-        return _plan_sums(self.fn, self.precision, (xf,), (yf,))[1] == 1
-
-    def __repr__(self):
-        return f"GraphSet({self.fn!r})"
-
-
-def graph_family(fns, precision: int, name: str = "graphs") -> SetFamily:
-    """Family of under-graph regions, one per function, over (x, y) pairs."""
-    return SetFamily.of(name, (GraphSet(f, precision) for f in fns))
 
 
 def ramp_family(count: int = 10, slope=2) -> list[PiecewiseFn]:

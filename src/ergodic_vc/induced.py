@@ -53,9 +53,6 @@ class InducedPath:
     def induced_fixed(self) -> tuple[int, ...]:
         return tuple(self.base.fixed[t - 1] for t in self.hits)
 
-    def induced_path(self) -> SamplePath:
-        return SamplePath(self.base.spec, self.base.precision, self.induced_fixed)
-
 
 def induce(path: SamplePath, region: IntervalUnion, count: int) -> InducedPath:
     """Collect the first ``count`` returns of the path to the region."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .intervals import IntervalUnion, from_pairs, parse_union, rescaled
+from .intervals import IntervalUnion, from_pairs, rescaled
 from .vc import join
 
 
@@ -93,25 +93,6 @@ class PiecewiseTranslation:
     def preimage(self, u: IntervalUnion) -> IntervalUnion:
         """Exact preimage of a union, by the inverse table."""
         return _translate(self._inverse, self._den, u)
-
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "pieces": [
-                {
-                    "source": str(p.source),
-                    "beta": f"{p.beta.numerator}/{p.beta.denominator}",
-                }
-                for p in self.pieces
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PiecewiseTranslation":
-        pieces = [
-            Piece(parse_union(p["source"]), Fraction(p["beta"])) for p in obj["pieces"]
-        ]
-        return PiecewiseTranslation(pieces, int(obj["stage"]))
 
 
 def _translate(rows, den: int, u: IntervalUnion) -> IntervalUnion:

@@ -141,25 +141,6 @@ class ProcessSpec:
     def with_seed(self, seed: int) -> "ProcessSpec":
         return ProcessSpec(self.kind, self.params, seed, self.precision)
 
-    def to_json(self) -> dict:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}"
-            if isinstance(v, IntervalUnion):
-                return str(v)
-            if isinstance(v, int):
-                return str(v)
-            if isinstance(v, list):
-                return [enc(x) for x in v]
-            return v
-
-        return {
-            "kind": self.kind,
-            "params": {k: enc(v) for k, v in self.params.items()},
-            "seed": self.seed,
-            "precision": self.precision,
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "ProcessSpec":
         """Rebuild a spec through its kind's validating constructor."""
@@ -284,10 +265,6 @@ class SamplePath:
     @property
     def length(self) -> int:
         return len(self.fixed)
-
-    def point(self, i: int) -> Fraction:
-        """x_i as an exact rational, 1-based."""
-        return Fraction(self.fixed[i - 1], 1 << self.precision)
 
     def points(self) -> list[Fraction]:
         scale = 1 << self.precision
@@ -492,9 +469,3 @@ def trajectory_family(
         return AtomSet(((x0 + t * alpha) % scale for t in range(-w, w + 1)), precision)
 
     return SetFamily(f"trajectory(window={window})", member, None)
-
-
-def doubling_stream_bits(seed: int, count: int) -> list[int]:
-    """First ``count`` bits b_1.. of the doubling bit stream (for audits)."""
-    words = uniforms(seed, DOMAIN_DOUBLING, 0, -(-count // 64), 64)
-    return [(w >> r) & 1 for w in words for r in range(63, -1, -1)][:count]

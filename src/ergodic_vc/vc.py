@@ -19,22 +19,6 @@ from .errors import ResourceLimitError
 from .intervals import IntervalUnion, SetFamily, from_sweep, segments
 
 
-@dataclass(frozen=True)
-class TraceTable:
-    """Membership of each point in each of the first ``budget`` members.
-
-    ``rows[j]`` is a bit mask over points for member j (bit t set when
-    points[t] lies in the member).
-    """
-
-    points: tuple
-    rows: tuple[int, ...]
-    budget: int
-
-    def distinct_rows(self) -> frozenset[int]:
-        return frozenset(self.rows)
-
-
 def _rows(points, members) -> tuple[int, ...]:
     """One bit mask over ``points`` per member (bit t set when points[t] lies in it)."""
     rows = []
@@ -54,16 +38,11 @@ def _distinct(points) -> tuple:
     return points
 
 
-def trace_table(points, fam: SetFamily, upto: int) -> TraceTable:
-    points = _distinct(points)
-    return TraceTable(points, _rows(points, fam.members(upto)), upto)
-
-
 def shatter_coefficient(points, fam: SetFamily, upto: int) -> int:
     """Number of distinct subsets of ``points`` picked out by the family."""
     if not points:
         raise ValueError("ground set must be nonempty")
-    return len(trace_table(points, fam, upto).distinct_rows())
+    return len(set(_rows(_distinct(points), fam.members(upto))))
 
 
 @dataclass(frozen=True)
@@ -100,16 +79,16 @@ def vc_dimension(fam: SetFamily, upto: int, grid, max_k: int) -> VcDimension:
     """Depth-first dimension search relative to ``grid`` and member budget.
 
     ``cols[t]`` is the bit mask of members containing grid[t], one
-    membership test per (member, point) as in ``trace_table``. A shattered
-    point set keeps its cells: per pattern on the set, the mask of members
-    that cut that pattern, all nonempty; the empty set has one cell holding
-    every member. Point i with column c extends the set exactly when every
-    cell g splits, 0 != g & c != g, and the child's cells, built in the same
-    pass, are g & c and g & ~c. Shattered sets are closed under subsets, so
-    the search extends only shattered sets, adding points in index order,
-    and stops at the first set of size min(max_k, len(grid)). It meets the
-    sets of each size in lexicographic order, so the witness is the first
-    shattered set of the largest size.
+    membership test per (member, point) as in ``shatter_coefficient``. A
+    shattered point set keeps its cells: per pattern on the set, the mask of
+    members that cut that pattern, all nonempty; the empty set has one cell
+    holding every member. Point i with column c extends the set exactly when
+    every cell g splits, 0 != g & c != g, and the child's cells, built in
+    the same pass, are g & c and g & ~c. Shattered sets are closed under
+    subsets, so the search extends only shattered sets, adding points in
+    index order, and stops at the first set of size min(max_k, len(grid)).
+    It meets the sets of each size in lexicographic order, so the witness is
+    the first shattered set of the largest size.
 
     Cells are disjoint and nonempty, so a set of size d has 2**d <= upto
     cells, and the search path holds at most 2 * upto cells of at most upto
@@ -152,20 +131,9 @@ def vc_dimension(fam: SetFamily, upto: int, grid, max_k: int) -> VcDimension:
 
 def union_family(name: str, *fams: SetFamily) -> SetFamily:
     """Concatenated family enumerating each argument in turn (finite only)."""
-    sizes = []
-    for f in fams:
-        if f.size is None:
-            raise ValueError("union_family requires finite families")
-        sizes.append(f.size)
-
-    def member(i: int):
-        for f, s in zip(fams, sizes):
-            if i < s:
-                return f.member(i)
-            i -= s
-        raise IndexError(i)
-
-    return SetFamily(name, member, sum(sizes))
+    if any(f.size is None for f in fams):
+        raise ValueError("union_family requires finite families")
+    return SetFamily.of(name, (m for f in fams for m in f.members(f.size)))
 
 
 # -- joins -------------------------------------------------------------------

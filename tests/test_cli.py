@@ -577,6 +577,17 @@ def test_runtime_value_error_exits_1(invoke):
     assert err
 
 
+def test_counterexample_window_is_checked_before_any_path(invoke, monkeypatch):
+    def no_path(*args, **kwargs):
+        raise AssertionError("a path was generated")
+
+    monkeypatch.setattr(cli, "generate", no_path)
+    code, out, err = invoke(["counterexample", "--window", "0", "--m", "1000"])
+    assert code == 1
+    assert out == ""
+    assert "window must be >= 1" in err
+
+
 def test_markov_without_params_exits_1(invoke):
     code, _, err = invoke(["converge", "--family", "dyadic", "--process", "markov",
                            "--m-grid", "10", "--seeds", "0"])

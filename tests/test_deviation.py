@@ -15,6 +15,7 @@ from ergodic_vc import (
     cellwise_deviation_sum,
     deviation_trace,
     discrepancy,
+    doubling_spec,
     dyadic_class,
     generate,
     golden_alpha_fixed,
@@ -23,6 +24,7 @@ from ergodic_vc import (
     iu,
     join,
     ks_statistic,
+    markov_spec,
     max_deviation_k_intervals,
     rotation_spec,
     subset_indexed_sets,
@@ -411,10 +413,16 @@ def test_trace_rejects_bad_seeds_and_grids_before_any_job(m_grid, seeds, monkeyp
 
 
 def test_trace_bundle_parallel_equals_serial():
-    spec = iid_spec(0)
-    serial = deviation_trace(dyadic_class(3), 14, spec, [10, 100], list(range(6)), workers=1)
-    parallel = deviation_trace(dyadic_class(3), 14, spec, [10, 100], list(range(6)), workers=4)
-    assert serial.csv_rows() == parallel.csv_rows()
+    """Each job pickles its spec, Markov cells included, into the pool."""
+    markov = markov_spec(
+        [["1/2", "1/4", "1/4"], ["1/4", "1/2", "1/4"], ["1/4", "1/4", "1/2"]],
+        ["[0,1/3)", "[1/3,2/3)", "[2/3,1)"],
+        0,
+    )
+    for spec in (iid_spec(0), rotation_spec(seed=0, x0_fixed=17), doubling_spec(0, 200), markov):
+        serial = deviation_trace(dyadic_class(3), 14, spec, [10, 100], list(range(6)), workers=1)
+        parallel = deviation_trace(dyadic_class(3), 14, spec, [10, 100], list(range(6)), workers=4)
+        assert serial.csv_rows() == parallel.csv_rows(), spec.kind
 
 
 def test_trace_builds_each_member_once_across_seeds():

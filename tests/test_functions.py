@@ -15,17 +15,15 @@ from ergodic_vc import (
     gamma_fn,
     gamma_split,
     generate,
-    graph_family,
     graph_lift,
     iid_spec,
     lm_bound,
     ramp_family,
     random_piecewise_fn,
-    sublevel_family,
     truncate_envelope,
     vc_dimension,
 )
-from ergodic_vc.functions import GraphSet, _plan_sums
+from ergodic_vc.functions import _plan_sums
 from ergodic_vc.intervals import ceil_fixed
 
 F = Fraction
@@ -74,7 +72,7 @@ def test_constant_and_json_round_trip():
     c = PiecewiseFn.constant(F(-1, 3))
     assert c(F(1, 2)) == F(-1, 3) and c.bound == F(1, 3)
     f = PiecewiseFn((0, F(1, 3), 1), ((3, 0), (0, 1)), 1)
-    assert PiecewiseFn.from_json(f.to_json()) == f
+    assert PiecewiseFn(**f.to_json()) == f
 
 
 # -- level discretization -------------------------------------------------------------
@@ -184,8 +182,7 @@ def test_graph_lift_deterministic_and_in_range():
 def test_graph_lift_indicator_hand_computed():
     path = path_from(["1/2", "1/2"])
     gs = GraphSample(path, 0, (1 << 62, 1 << 63))
-    assert gs.indicator(IDENTITY, 1) == 1
-    assert gs.indicator(IDENTITY, 2) == 1
+    assert gs.indicator_mean(IDENTITY, 1) == 1
     assert gs.indicator_mean(IDENTITY, 2) == 1
     low = PiecewiseFn.constant(F(1, 8))
     assert gs.indicator_mean(low, 2) == 0
@@ -200,7 +197,7 @@ def test_frozen_fubini_mean():
 def test_graph_indicator_closed_inequality():
     path = path_from(["1/2"])
     gs = GraphSample(path, 0, (1 << 63,))
-    assert gs.indicator(IDENTITY, 1) == 1
+    assert gs.indicator_mean(IDENTITY, 1) == 1
 
 
 # -- the two-part deviation split ------------------------------------------------------
@@ -226,7 +223,7 @@ def test_gamma_split_rescales_unbounded_family():
     split = gamma_split([big], gs, 100)
     assert split.scale == 4
     assert split.bound_ok
-    assert split.gamma_original == split.scale * split.gamma
+    assert split.scale * split.gamma == gamma_fn([big], path, 100).value
 
 
 @settings(max_examples=25, deadline=None)
@@ -245,34 +242,7 @@ def test_lm_bound_frozen_values():
     assert lm_bound(10_000, 2) < lm_bound(1000, 2) < lm_bound(100, 2)
 
 
-# -- derived set families -------------------------------------------------------------
-
-
-def test_sublevel_family_members():
-    fam = sublevel_family(IDENTITY, [F(1, 4), F(1, 2), F(3, 4)])
-    assert fam.size == 3
-    assert fam.member(1).measure == F(1, 2)
-
-
-def test_graph_family_membership_and_size():
-    fns = ramp_family(4)
-    fam = graph_family(fns, 64)
-    assert fam.size == 4
-    member = fam.member(0)
-    x = 1 << 60
-    f0_val = fns[0](F(x, 1 << 64))
-    y_below = int(f0_val * (1 << 64)) - 1
-    y_above = int(f0_val * (1 << 64)) + 1
-    assert (x, y_below) in member
-    assert (x, y_above) not in member
-
-
-def test_graph_set_rejects_points_outside_the_unit_interval():
-    for precision in (10, 64):
-        member = GraphSet(IDENTITY, precision)
-        for x in (1 << precision, -1):
-            with pytest.raises(ValueError):
-                (x, 0) in member
+# -- exact sample sums and graph membership -----------------------------------------
 
 
 @st.composite
@@ -319,8 +289,7 @@ def test_plan_sums_match_a_per_point_recount(case):
     sorted_xs, sorted_ys = [x for x, _ in pairs], [y for _, y in pairs]
     assert _plan_sums(f, precision, sorted_xs, sorted_ys) == (sum(values), sum(inside))
     assert _plan_sums(f, precision, sorted_xs) == (sum(values), 0)
-    member = GraphSet(f, precision)
-    assert [(x, y) in member for x, y in zip(xs, ys)] == inside
+    assert [_plan_sums(f, precision, (x,), (y,))[1] for x, y in zip(xs, ys)] == inside
 
 
 def test_ramp_family_shape():

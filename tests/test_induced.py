@@ -54,14 +54,6 @@ def test_induce_requires_enough_returns():
         induce(path, iu(""), 1)
 
 
-def test_induced_path_view():
-    path = path_from(["3/4", "1/8", "5/8", "1/4"])
-    ip = induce(path, iu("[0,1/2)"), 2)
-    view = ip.induced_path()
-    assert view.fixed == ip.induced_fixed
-    assert view.precision == path.precision
-
-
 def test_induced_points_are_built_once():
     path = path_from(["3/4", "1/8", "5/8", "1/4", "1/16"])
     ip = induce(path, iu("[0,1/2)"), 3)
@@ -135,7 +127,7 @@ def test_transfer_identity_holds_on_random_instances(seed, region_cells, c_cells
         return
     # Both sides count with ``count_in``, so the left side is also recounted
     # point by point; the atoms are path points, so some induced points hit.
-    induced = ip.induced_path().points()[:m]
+    induced = [F(n, 1 << path.precision) for n in ip.induced_fixed[:m]]
     for member in (c, AtomSet(path.fixed[::3], path.precision)):
         ident = frequency_transfer_identity(ip, member, m)
         assert ident.holds

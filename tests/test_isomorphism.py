@@ -103,15 +103,6 @@ def test_invalid_partitions_rejected():
         PiecewiseTranslation([Piece(iu("[0,1/2)"), F(0)), Piece(iu("[1/4,3/4)"), F(1, 2))], 1)
 
 
-def test_json_round_trip():
-    phi = build_map([iu("[1/3,2/3)"), iu("[0,1/2)")])
-    back = PiecewiseTranslation.from_json(phi.to_json())
-    assert back.stage == phi.stage
-    assert [(p.source, p.beta) for p in back.pieces] == [
-        (p.source, p.beta) for p in phi.pieces
-    ]
-
-
 # -- exact measure preservation ------------------------------------------------------
 
 

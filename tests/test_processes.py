@@ -30,7 +30,6 @@ from ergodic_vc.processes import (
     DOMAIN_MARKOV_EMIT,
     DOMAIN_MARKOV_STATE,
     DOMAIN_YLIFT,
-    doubling_stream_bits,
     uniforms,
 )
 
@@ -101,18 +100,18 @@ def test_golden_alpha_value():
 
 
 def test_spec_json_round_trip():
-    for spec in (
-        iid_spec(3),
-        rotation_spec(seed=4, x0_fixed=17),
-        doubling_spec(5),
-        markov_spec(
-            [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]],
-            [iu("[0,1/2)"), iu("[1/2,1)")],
-            seed=6,
+    """Hand-written config dicts, as the CLI passes them, give each kind's spec."""
+    half = ["1/2", "1/2"]
+    for obj, spec in (
+        ({"kind": "iid-uniform", "seed": 3}, iid_spec(3)),
+        ({"kind": "rotation", "seed": 4, "params": {"x0_fixed": 17}}, rotation_spec(seed=4, x0_fixed=17)),
+        ({"kind": "doubling", "seed": 5, "precision": 200}, doubling_spec(5, 200)),
+        (
+            {"kind": "markov", "seed": 6, "params": {"matrix": [half, half], "cells": ["[0,1/2)", "[1/2,1)"]}},
+            markov_spec([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], [iu("[0,1/2)"), iu("[1/2,1)")], seed=6),
         ),
     ):
-        back = ProcessSpec.from_json(spec.to_json())
-        assert back == spec
+        assert ProcessSpec.from_json(obj) == spec
 
 
 def test_spec_precision_floor():
@@ -174,32 +173,21 @@ def test_doubling_path_shifts_in_one_stream_bit():
         assert b - (2 * a) % scale in (0, 1)
 
 
-def test_doubling_stream_bits_match_msb():
-    spec = doubling_spec(3)
-    path = generate(spec, 20)
-    bits = doubling_stream_bits(3, 21)
-    for idx, n in enumerate(path.fixed):
-        assert (n >> 127) & 1 == bits[idx + 1]
-
-
 def doubling_reference(seed, count, precision):
-    """Points and stream bits from one integer of joined words, shifted per point."""
+    """Points from one integer of joined stream words, shifted per point."""
     words = -(-(count + precision) // 64)
     stream = 0
     for k in range(words):
         stream = (stream << 64) | fixed_uniform(seed, DOMAIN_DOUBLING, k, 64)
     total, mask = 64 * words, (1 << precision) - 1
-    points = [(stream >> (total - i - precision)) & mask for i in range(1, count + 1)]
-    bits = [(stream >> (total - i)) & 1 for i in range(1, count + 1)]
-    return points, bits
+    return [(stream >> (total - i - precision)) & mask for i in range(1, count + 1)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(SEEDS, st.integers(1, 300), PRECISIONS)
 def test_doubling_path_and_bits_match_joined_stream_across_word_seams(seed, count, precision):
-    points, bits = doubling_reference(seed, count, precision)
+    points = doubling_reference(seed, count, precision)
     assert list(generate(doubling_spec(seed, precision), count).fixed) == points
-    assert doubling_stream_bits(seed, count) == bits
 
 
 @pytest.mark.parametrize(
@@ -330,7 +318,6 @@ def test_sorted_fixed_keeps_one_prefix_and_never_mutates_a_returned_list(order):
 
 def test_point_and_points_views():
     path = generate(iid_spec(2), 8)
-    assert path.point(3) == F(path.fixed[2], 1 << path.precision)
     assert path.points() == [F(n, 1 << path.precision) for n in path.fixed]
 
 

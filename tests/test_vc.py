@@ -21,7 +21,6 @@ from ergodic_vc import (
     sauer_bound,
     shatter_coefficient,
     subset_indexed_sets,
-    trace_table,
     union_family,
     vc_dimension,
 )
@@ -95,7 +94,7 @@ def _reference_vc_dimension(fam, upto, grid, max_k):
     grid = tuple(grid)
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    masks = trace_table(grid, fam, upto).distinct_rows()
+    masks = {sum(1 << t for t, x in enumerate(grid) if x in member) for member in fam.members(upto)}
     top = min(max_k, len(grid))
     best = ()
 
@@ -174,7 +173,7 @@ def test_repeated_points_are_not_shattered():
     assert is_shattered([x], [iu("[0,1/2)"), iu("[1/2,1)")])
     assert not is_shattered([x, x], [iu("[0,1/2)"), iu("[1/2,1)"), iu("[0,1)")])
     with pytest.raises(ValueError):
-        trace_table([x, x], dyadic_class(1), 2)
+        shatter_coefficient([x, x], dyadic_class(1), 2)
 
 
 def test_sauer_bound_values():
@@ -191,14 +190,6 @@ def test_sauer_bound_binomial_sum(mv):
     m, v = mv
     assert sauer_bound(m, v).exact == sum(comb(m, j) for j in range(v + 1))
     assert sauer_bound(m, v).exact <= sauer_bound(m, v).poly or v == 0
-
-
-def test_trace_table_rows_are_distinct_subsets():
-    fam = dyadic_class(2)
-    pts = grid(3)
-    table = trace_table(pts, fam, fam.size)
-    assert len(table.rows) == fam.size
-    assert len(table.distinct_rows()) == shatter_coefficient(pts, fam, fam.size)
 
 
 # -- known dimensions ----------------------------------------------------------
