@@ -21,8 +21,6 @@ import sys
 import time
 from fractions import Fraction
 
-from jsonschema import Draft202012Validator
-
 from . import __version__
 from .deviation import deviation_trace, uniform_deviation
 from .errors import ResourceLimitError
@@ -96,14 +94,54 @@ CONFIG_SCHEMA = {
 }
 
 
+class _Violation(Exception):
+    """A schema violation: (JSON pointer, message)."""
+
+
+def _checked(value, schema, pointer=""):
+    """``value`` checked against ``schema`` (the keywords CONFIG_SCHEMA uses),
+    with "integer" leaves cast to int and containers updated in place. Nodes
+    come before children and keys go in sorted order, so the ``_Violation``
+    raised is the first of a draft 2020-12 validator's errors sorted by path,
+    message included: an integral float is an integer, a bool never is, and
+    NaN or an infinity is a type error.
+    """
+    kind = schema.get("type")
+    if kind == "integer":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        ok = ok or isinstance(value, float) and value.is_integer()
+    else:
+        ok = kind is None or isinstance(value, {"object": dict, "array": list, "string": str}[kind])
+    if not ok:
+        raise _Violation(pointer, f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise _Violation(pointer, f"{value!r} is not one of {schema['enum']!r}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise _Violation(pointer, f"{value!r} is less than the minimum of {schema['minimum']!r}")
+    if "maximum" in schema and value > schema["maximum"]:
+        raise _Violation(pointer, f"{value!r} is greater than the maximum of {schema['maximum']!r}")
+    if kind == "object":
+        props = schema.get("properties", {})
+        extras = sorted(value.keys() - props, key=str)
+        if extras and schema.get("additionalProperties") is False:
+            names = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
+            raise _Violation(pointer, f"Additional properties are not allowed ({names} unexpected)")
+        for key in sorted(value.keys() & props):
+            value[key] = _checked(value[key], props[key], f"{pointer}/{key}")
+    elif kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            raise _Violation(pointer, f"{value!r} {short}")
+        value[:] = [_checked(v, schema["items"], f"{pointer}/{i}") for i, v in enumerate(value)]
+    return int(value) if kind == "integer" else value
+
+
 def _validate_config(config) -> str | None:
-    """First schema violation as 'pointer: message', or None when clean."""
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        return f"{pointer}: {e.message}"
+    """First violation as 'pointer: message', or None (integer leaves cast in place)."""
+    try:
+        _checked(config, CONFIG_SCHEMA)
+    except _Violation as e:
+        return f"{e.args[0] or '/'}: {e.args[1]}"
     grid = config.get("m_grid")
     if grid and any(a >= b for a, b in zip(grid, grid[1:])):
         return "/m_grid: values must be strictly ascending"
@@ -111,19 +149,6 @@ def _validate_config(config) -> str | None:
     if family.get("name") == "run-pattern" and family.get("order", 4) > 4:
         return "/family/order: run-pattern grids hold 2**order <= 20 points, so order <= 4"
     return None
-
-
-def _integers(value, schema):
-    """``value`` with each leaf the schema types "integer" as an int: the
-    check admits integral floats such as 10.0."""
-    if schema.get("type") == "integer":
-        return int(value)
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        return {k: _integers(v, props[k]) if k in props else v for k, v in value.items()}
-    if isinstance(value, list):
-        return [_integers(v, schema.get("items", {})) for v in value]
-    return value
 
 
 def _config_error(problem: str) -> int:
@@ -554,7 +579,6 @@ def main(argv=None) -> int:
     problem = _validate_config(config)
     if problem is not None:
         return _config_error(problem)
-    config = _integers(config, CONFIG_SCHEMA)
     try:
         return args.handler(args, config)
     except ResourceLimitError as e:

@@ -33,7 +33,6 @@ in-place integer "at most r runs" tables in one downward loop over r.
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -101,20 +100,21 @@ def uniform_deviation(fam: SetFamily, upto: int, path: SamplePath, m: int) -> De
 def ks_statistic(path: SamplePath, m: int) -> Fraction:
     """Exact sup_t |#{x_i < t}/m - t| from the order statistics.
 
-    Equals max_i max(i/m - x_(i), x_(i) - (i-1)/m); computed on integer
-    numerators at scale m * 2**precision.
+    Equals max_i max(i/m - x_(i), x_(i) - (i-1)/m) = max(max up, S - min up)
+    / (m*S), S = 2**precision, up_i = i*S - m*(S*x_(i)): one product each.
     """
     sorted_fixed = path.sorted_fixed(m)
     scale = 1 << path.precision
-    best = 0
-    for i, n in enumerate(sorted_fixed, start=1):
-        up = i * scale - n * m
-        down = n * m - (i - 1) * scale
-        if up > best:
-            best = up
-        if down > best:
-            best = down
-    return Fraction(best, m * scale)
+    hi = lo = scale - m * sorted_fixed[0]
+    i_scale = scale
+    for n in islice(sorted_fixed, 1, None):
+        i_scale += scale
+        up = i_scale - m * n
+        if up > hi:
+            hi = up
+        elif up < lo:
+            lo = up
+    return Fraction(max(hi, scale - lo), m * scale)
 
 
 # -- exact supremum over unions of at most k intervals -------------------------
@@ -301,9 +301,12 @@ def _trace_one(args) -> DeviationTrace:
 
 
 def fan_out(fn, args, workers: int) -> list:
-    """[fn(a) for a in args], over a process pool when workers > 1; order is kept."""
-    if workers <= 1 or len(args) <= 1:
+    """[fn(a) for a in args], pooled when workers > 1 (ValueError below 1); order is kept."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(args) <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args, chunksize=max(1, len(args) // (4 * workers))))
 

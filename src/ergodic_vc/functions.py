@@ -2,8 +2,8 @@
 
 Two exact reductions are implemented:
 
-* Level discretization: a K-level staircase built from sublevel indicators
-  squeezes each function from above within eps = 2 * bound / K, so uniform
+* Level discretization: a K-level staircase counting the levels at or above
+  f squeezes each function from above within eps = 2 * bound / K, so uniform
   deviations of the class and of its staircase differ by at most 2 * eps.
 * Graph lifting: after rescaling values into [0, 1], attach one auxiliary
   uniform coordinate per sample and split the deviation into an indicator
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .deviation import DeviationResult
 from .errors import InsufficientDataError
-from .intervals import IntervalUnion, ceil_fixed, normalize
+from .intervals import ceil_fixed
 from .processes import _MASK64, DOMAIN_FN_GEN, DOMAIN_YLIFT, SamplePath, fixed_uniform, uniforms
 
 
@@ -132,33 +132,6 @@ class PiecewiseFn:
                 v = s * x + c
                 lo, hi = min(lo, v), max(hi, v)
         return lo, hi
-
-    def sublevel(self, alpha) -> IntervalUnion:
-        """Half-open version of {x : f(x) <= alpha}.
-
-        Within each piece the sublevel region is an interval whose endpoint
-        solves slope * x + intercept = alpha exactly. On pieces where f is
-        increasing the true region is closed on the right; the half-open
-        representation drops that single point, so the returned set differs
-        from the sublevel set at most on the finite crossing set, which is
-        Lebesgue-null. On constant and decreasing pieces it is exact.
-        """
-        alpha = Fraction(alpha)
-        pairs = []
-        for i, (s, c) in enumerate(zip(self.slopes, self.intercepts)):
-            a, b = self.breakpoints[i], self.breakpoints[i + 1]
-            if s == 0:
-                if c <= alpha:
-                    pairs.append((a, b))
-            elif s > 0:
-                hi = min(b, (alpha - c) / s)
-                if hi > a:
-                    pairs.append((a, hi))
-            else:
-                lo = max(a, (alpha - c) / s)
-                if lo < b:
-                    pairs.append((lo, b))
-        return normalize(pairs)
 
     def to_json(self) -> dict:
         def rat(v):

@@ -1,7 +1,11 @@
-"""The package's public surface: every exported name has a use outside the tests."""
+"""The package's public surface: every exported name has a use outside the
+tests, and importing it loads nothing a serial CLI call does not use."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ergodic_vc
@@ -36,3 +40,18 @@ def test_every_reexported_name_has_a_non_test_caller():
             words.discard(defined.group(1))
         used |= words
     assert [name for name in exported if name not in used] == []
+
+
+def test_cli_import_needs_neither_jsonschema_nor_the_process_pool():
+    """A fresh interpreter imports the package and its CLI without loading
+    jsonschema (a test dependency) or the pool module (loaded by fan_out)."""
+    probe = (
+        "import sys, ergodic_vc, ergodic_vc.cli; "
+        "print([m for m in ('jsonschema', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(INIT.parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

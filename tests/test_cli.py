@@ -1,7 +1,9 @@
 """Command line harness: exit codes, schemas, overrides, artifact formats."""
 
 import ast
+import copy
 import json
+import math
 import os
 import re
 import shlex
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergodic_vc import cli
 from ergodic_vc.cli import CONFIG_SCHEMA, _build_parser, _family, _validate_config, main
@@ -387,6 +390,72 @@ def test_seed_beyond_64_bits_exits_2(invoke, tmp_path):
     assert _validate_config({"process": {"kind": "iid-uniform", "seed": 1 << 64}}).startswith(
         "/process/seed"
     )
+
+
+# An integer key holding each token, as config file text.
+INTEGER_KEY_TEXTS = {
+    "/precision": '{"precision": %s}',
+    "/workers": '{"workers": %s}',
+    "/process/seed": '{"process": {"seed": %s}}',
+    "/m_grid/0": '{"m_grid": [%s]}',
+}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "true"])
+@pytest.mark.parametrize("pointer", sorted(INTEGER_KEY_TEXTS))
+def test_non_integral_number_or_bool_in_an_integer_key_exits_2(invoke, tmp_path, pointer, token):
+    # json reads NaN and the infinities as floats (1e400 overflows to inf):
+    # each is a type error, never an int() crash.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(INTEGER_KEY_TEXTS[pointer] % token)
+    code, out, err = invoke(["converge", "--config", str(cfg), "--family", "dyadic"])
+    assert code == 2
+    assert out == ""
+    assert f"config error at {pointer}: " in err and "is not of type 'integer'" in err
+
+
+_ODD = st.sampled_from(
+    [True, False, None, math.nan, math.inf, -math.inf, json.loads("1e400"),
+     1 << 64, (1 << 64) - 1, -1, 0, 10.0, 64.5, "x", [], {}, [1], {"a": 1}]
+)
+
+
+def _documents(schema):
+    """Documents shaped like ``schema``, with an odd value at any node and
+    unexpected keys that sort before, between and after the known ones."""
+    if "properties" in schema:
+        known = {k: _documents(v) for k, v in schema["properties"].items()}
+        extra = {k: _ODD for k in ("a_extra", "m_extra", "zz_extra")}
+        node = st.fixed_dictionaries({}, optional={**known, **extra})
+    elif schema.get("type") == "array":
+        node = st.lists(_documents(schema["items"]), max_size=3)
+    elif "enum" in schema:
+        node = st.sampled_from(schema["enum"])
+    elif schema.get("type") == "integer":
+        node = st.integers(-1, 1 << 65) | st.integers(-2, 70).map(float) | st.floats()
+    elif schema.get("type") == "string":
+        node = st.text(max_size=3)
+    else:
+        node = st.dictionaries(st.text(max_size=2), _ODD, max_size=2)
+    return node | _ODD
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents(CONFIG_SCHEMA))
+def test_schema_walk_reports_the_first_jsonschema_error(doc):
+    """Pointer and message equal the first of jsonschema's errors sorted by path."""
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    expected = None
+    if errors:
+        expected = ("/" + "/".join(map(str, errors[0].absolute_path)), errors[0].message)
+    try:
+        cli._checked(copy.deepcopy(doc), CONFIG_SCHEMA)
+        found = None
+    except cli._Violation as e:
+        found = (e.args[0] or "/", e.args[1])
+    assert found == expected
 
 
 @pytest.mark.parametrize(

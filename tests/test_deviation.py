@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ergodic_vc import (
     AtomSet,
@@ -31,6 +31,7 @@ from ergodic_vc import (
     trajectory_family,
     uniform_deviation,
 )
+from ergodic_vc.deviation import fan_out
 from ergodic_vc.families import half_interval_class as _half
 from ergodic_vc.intervals import count_in
 from ergodic_vc.oracles import brute_k_interval_sup
@@ -131,6 +132,31 @@ def test_ks_hand_computed():
     path = path_from(["1/4", "1/2", "3/4", "0"])
     assert ks_statistic(path, 4) == F(1, 4)
     assert ks_statistic(path, 1) == F(3, 4)
+
+
+def _two_product_ks(path, m):
+    """max_i max(up_i, down_i) with both terms multiplied out per point: the
+    reference for ``ks_statistic``."""
+    sorted_fixed = path.sorted_fixed(m)
+    scale = 1 << path.precision
+    best = 0
+    for i, n in enumerate(sorted_fixed, start=1):
+        up = i * scale - n * m
+        down = n * m - (i - 1) * scale
+        if up > best:
+            best = up
+        if down > best:
+            best = down
+    return F(best, m * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=20))
+@example([32])  # the single point 1/2: up_1 = down_1 = 1/2
+def test_ks_matches_the_two_product_reference(numerators):
+    path = path_from([F(n, 64) for n in numerators])
+    for m in range(1, len(numerators) + 1):
+        assert ks_statistic(path, m) == _two_product_ks(path, m)
 
 
 def test_ks_dominates_half_interval_family_sup():
@@ -410,6 +436,16 @@ def test_trace_rejects_bad_seeds_and_grids_before_any_job(m_grid, seeds, monkeyp
     monkeypatch.setattr("ergodic_vc.deviation.fan_out", no_jobs)
     with pytest.raises(ValueError, match="need seeds, and an m grid .* strictly ascending and >= 1"):
         deviation_trace(dyadic_class(3), 14, iid_spec(0), m_grid, seeds)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_raises(workers):
+    """The library rejects what the CLI rejects with exit 2 (deviation_trace
+    and run_suite both go through fan_out)."""
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        fan_out(abs, [1, 2], workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        deviation_trace(dyadic_class(3), 14, iid_spec(0), [10], [0], workers=workers)
 
 
 def test_trace_bundle_parallel_equals_serial():

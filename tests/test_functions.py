@@ -59,15 +59,6 @@ def test_affine_and_range():
     assert lo == F(1, 4) and hi == F(3, 4)
 
 
-def test_sublevel_half_open_convention():
-    f = PiecewiseFn((0, F(1, 2), 1), ((1, 0), (-1, 1)), 1)
-    s = f.sublevel(F(1, 4))
-    assert F(1, 8) in s and F(7, 8) in s
-    assert F(1, 4) not in s
-    assert F(3, 4) in s
-    assert s.measure == F(1, 2)
-
-
 def test_constant_and_json_round_trip():
     c = PiecewiseFn.constant(F(-1, 3))
     assert c(F(1, 2)) == F(-1, 3) and c.bound == F(1, 3)
