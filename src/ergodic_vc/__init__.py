@@ -20,7 +20,6 @@ appear only in human-facing summaries. The package splits into:
   transfer identity and deviation transfer bound.
 * ``functions``: bounded piecewise-linear classes, level discretization,
   envelope truncation, graph lifts and the two-part deviation split.
-* ``suite``: the shipped acceptance experiments behind the CLI.
 """
 
 from .deviation import (
@@ -94,7 +93,6 @@ from .processes import (
     stationary_distribution,
     trajectory_family,
 )
-from .suite import CriterionResult, SuiteReport, run_suite
 from .vc import (
     JoinPartition,
     SauerBound,

@@ -43,7 +43,6 @@ from .processes import (
     rotation_spec,
     trajectory_family,
 )
-from .suite import run_suite
 from .vc import full_join_witness, join, sauer_bound, shatter_coefficient, vc_dimension
 
 # Seeds key a 64-bit counter generator; larger seeds would alias smaller ones.
@@ -145,8 +144,8 @@ def _validate_config(config) -> str | None:
     grid = config.get("m_grid")
     if grid and any(a >= b for a, b in zip(grid, grid[1:])):
         return "/m_grid: values must be strictly ascending"
-    family = config.get("family", {})
-    if family.get("name") == "run-pattern" and family.get("order", 4) > 4:
+    family = _family_params(config)
+    if family["name"] == "run-pattern" and family["order"] > 4:
         return "/family/order: run-pattern grids hold 2**order <= 20 points, so order <= 4"
     return None
 
@@ -163,13 +162,13 @@ def _build_family(params, precision: int) -> SetFamily:
     """The named family; trajectory atoms use the run's fixed-point precision."""
     name = params["name"]
     if name == "dyadic":
-        return dyadic_class(params.get("order", 4))
+        return dyadic_class(params["order"])
     if name == "half":
         return half_interval_class()
     if name == "intervals":
-        return k_interval_class(params.get("k", 1), params.get("order", 3))
+        return k_interval_class(params.get("k", 1), params["order"])
     if name == "run-pattern":
-        order = params.get("order", 4)
+        order = params["order"]
         pts = [Fraction(2 * i + 1, 1 << (order + 1)) for i in range(1 << order)]
         return run_pattern_class(params.get("k", 2), pts)
     alpha = params.get("alpha_fixed")
@@ -180,9 +179,16 @@ def _build_family(params, precision: int) -> SetFamily:
 _DEFAULT_BUDGETS = {"trajectory": 16}
 
 
-def _family(config) -> tuple[dict, SetFamily, int]:
-    """Family section (name defaulting to dyadic), the family and its budget."""
+def _family_params(config) -> dict:
+    """Family section with its defaults: name dyadic, order 3 for intervals and 4 otherwise."""
     params = {"name": "dyadic", **config.get("family", {})}
+    params.setdefault("order", 3 if params["name"] == "intervals" else 4)
+    return params
+
+
+def _family(config) -> tuple[dict, SetFamily, int]:
+    """Family section with its defaults, the family and its budget."""
+    params = _family_params(config)
     fam = _build_family(params, _seed_precision(config)[1])
     budget = params.get("budget")
     if budget is None:
@@ -244,7 +250,7 @@ def _cmd_shatter(args, config) -> int:
     if args.points:
         points = [Fraction(tok) for tok in args.points.split(",")]
     else:
-        points = _probe_points(params.get("order", 4))
+        points = _probe_points(params["order"])
     s = shatter_coefficient(points, fam, upto)
     body = {"family": params["name"], "members": upto, "points": len(points), "shatter": s}
     _report(args, "shatter", body, config)
@@ -253,7 +259,7 @@ def _cmd_shatter(args, config) -> int:
 
 def _cmd_vcdim(args, config) -> int:
     params, fam, upto = _family(config)
-    probe = _probe_points(params.get("order", 4))
+    probe = _probe_points(params["order"])
     res = vc_dimension(fam, upto, probe, max_k=args.max_k)
     body = {
         "family": params["name"],
@@ -431,6 +437,8 @@ def _cmd_graph_lift(args, config) -> int:
 
 
 def _cmd_suite(args, config) -> int:
+    from .suite import run_suite
+
     report = run_suite(workers=config.get("workers", 1))
     print(report.table())
     if config.get("output"):

@@ -328,8 +328,10 @@ def deviation_trace(
     An empty seed list, or an m grid that is empty, not strictly ascending
     or below 1, raises ValueError before any job starts, and so does a
     budget beyond the family or a precision the family's members cannot be
-    compiled at.
+    compiled at. A worker count below 1 raises it before the rows compile.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     m_grid, seeds = tuple(m_grid), list(seeds)
     ascending = all(a < b for a, b in zip(m_grid, m_grid[1:]))
     if not (seeds and m_grid and m_grid[0] >= 1 and ascending):

@@ -250,16 +250,14 @@ def stationary_distribution(matrix) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Finite path x_1..x_M of dyadic points, plus an audit of adjustments.
+    """Finite path x_1..x_M of dyadic points.
 
-    ``fixed[i-1]`` is the numerator of x_i at ``precision`` bits. ``audit``
-    records boundary-avoidance replacements as (index, original numerator).
+    ``fixed[i-1]`` is the numerator of x_i at ``precision`` bits.
     """
 
     spec: ProcessSpec
     precision: int
     fixed: tuple[int, ...]
-    audit: tuple[tuple[int, int], ...] = ()
     _latest: list = field(default_factory=lambda: [0, []], compare=False, repr=False)
 
     @property
@@ -354,14 +352,8 @@ def _markov_fixed(spec: ProcessSpec, count: int) -> list[int]:
     return out
 
 
-def generate(spec: ProcessSpec, count: int, avoid=()) -> SamplePath:
-    """Generate x_1..x_count; ``avoid`` lists registered boundary points.
-
-    A generated point exactly equal to an avoided rational is replaced by
-    point + 2**-precision (mod 1), and the replacement is recorded in the
-    path audit. Only rationals expressible on the precision grid can ever
-    collide, so the translation is exact.
-    """
+def generate(spec: ProcessSpec, count: int) -> SamplePath:
+    """Generate x_1..x_count."""
     if count < 1:
         raise ValueError("count must be >= 1")
     precision = spec.precision
@@ -378,23 +370,7 @@ def generate(spec: ProcessSpec, count: int, avoid=()) -> SamplePath:
         fixed = _markov_fixed(spec, count)
     else:  # pragma: no cover - spec validation rejects other kinds
         raise ValueError(spec.kind)
-
-    avoid_fixed = set()
-    for r in avoid:
-        r = Fraction(r)
-        n = r.numerator * scale
-        if n % r.denominator == 0:
-            avoid_fixed.add(n // r.denominator)
-    audit = []
-    if avoid_fixed:
-        for idx, n in enumerate(fixed):
-            if n in avoid_fixed:
-                original = n
-                while n in avoid_fixed:
-                    n = (n + 1) % scale
-                fixed[idx] = n
-                audit.append((idx + 1, original))
-    return SamplePath(spec, precision, tuple(fixed), tuple(audit))
+    return SamplePath(spec, precision, tuple(fixed))
 
 
 class AtomSet:

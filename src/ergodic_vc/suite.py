@@ -1,7 +1,8 @@
 """Shipped experiment suite: one entry per acceptance criterion.
 
-Each criterion runs a fixed, fully seeded experiment and reports a pass/fail
-verdict, a human-readable detail line, and a list of exact record lines.
+Each criterion runs a fixed, fully seeded experiment and returns a pass/fail
+verdict, a human-readable detail line, and a list of exact record lines;
+``run_suite`` numbers and times the criteria and applies their time limits.
 The concatenated record lines form the suite's byte-comparable artifact:
 repeated runs, at any worker count, must reproduce them byte for byte.
 Floating point appears only in human-facing details, never in records.
@@ -9,11 +10,12 @@ Floating point appears only in human-facing details, never in records.
 
 from __future__ import annotations
 
+import math
 import statistics
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from time import perf_counter
 
 from .deviation import fan_out, ks_statistic, max_deviation_k_intervals, uniform_deviation
 from .errors import InsufficientDataError
@@ -106,8 +108,7 @@ def _rand_union64(d: _Det, cells: int) -> IntervalUnion:
 # -- criterion 1: shatter coefficients never beat the binomial bound -----------
 
 
-def _criterion_sauer() -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_sauer():
     violations = 0
     lines = []
     for t in range(500):
@@ -126,22 +127,13 @@ def _criterion_sauer() -> CriterionResult:
         if s > bound:
             violations += 1
         lines.append(f"1,sauer,{t},{p},{fam.size},{s},{v},{bound}")
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        1,
-        "shatter-vs-binomial-bound",
-        violations == 0 and elapsed < 60,
-        f"{violations} violations in 500 random families",
-        elapsed,
-        tuple(lines),
-    )
+    return violations == 0, f"{violations} violations in 500 random families", lines
 
 
 # -- criterion 2: full joins yield certified shattered witnesses ---------------
 
 
-def _criterion_join_witness() -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_join_witness():
     lines = []
     certified = 0
     for k in range(1, 5):
@@ -154,21 +146,13 @@ def _criterion_join_witness() -> CriterionResult:
             certified += 1
         pts = ";".join(str(x) for x in witness)
         lines.append(f"2,witness,{k},{len(jp.cells)},{s},{pts}")
-    return CriterionResult(
-        2,
-        "join-witness",
-        certified == 4,
-        f"{certified}/4 full joins certified shattered",
-        time.perf_counter() - t0,
-        tuple(lines),
-    )
+    return certified == 4, f"{certified}/4 full joins certified shattered", lines
 
 
 # -- criterion 3: known dimensions ---------------------------------------------
 
 
-def _criterion_dimensions() -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_dimensions():
     lines = []
     ok = True
 
@@ -204,14 +188,7 @@ def _criterion_dimensions() -> CriterionResult:
         du = vc_dimension(u, u.size, probe, max_k=base + 4).dim
         ok &= du <= base + 3
         lines.append(f"3,union,{name},{base},{du}")
-    return CriterionResult(
-        3,
-        "known-dimensions",
-        bool(ok),
-        "dyadic 2; interval unions 2k; unions stay within +3",
-        time.perf_counter() - t0,
-        tuple(lines),
-    )
+    return bool(ok), "dyadic 2; interval unions 2k; unions stay within +3", lines
 
 
 # -- criterion 4: uniform empirical-CDF deviation decays -----------------------
@@ -222,7 +199,7 @@ def _c4_one(seed: int):
     return seed, ks_statistic(path, 100), ks_statistic(path, 10_000)
 
 
-def _c4_lines(workers: int):
+def _criterion_ks(workers: int):
     rows = fan_out(_c4_one, list(range(100)), workers)
     lines = []
     for seed, k100, k10k in rows:
@@ -230,63 +207,39 @@ def _c4_lines(workers: int):
         lines.append(f"4,ks,iid,{seed},10000,{k10k.numerator},{k10k.denominator}")
     rot = ks_statistic(generate(rotation_spec(seed=1), 10_000), 10_000)
     lines.append(f"4,ks,rotation,1,10000,{rot.numerator},{rot.denominator}")
-    return lines, rows, rot
-
-
-def _criterion_ks(workers: int) -> CriterionResult:
-    t0 = time.perf_counter()
-    lines, rows, rot = _c4_lines(workers)
     med100 = statistics.median([r[1] for r in rows])
     med10k = statistics.median([r[2] for r in rows])
     small = sum(1 for r in rows if r[2] <= Fraction(1, 50))
-    elapsed = time.perf_counter() - t0
-    passed = (
-        med100 >= 5 * med10k and small >= 99 and rot <= Fraction(1, 100) and elapsed < 120
-    )
+    passed = med100 >= 5 * med10k and small >= 99 and rot <= Fraction(1, 100)
     detail = (
         f"median ratio {float(med100 / med10k):.1f}x, {small}/100 below 0.02, "
         f"rotation {float(rot):.6f}"
     )
-    return CriterionResult(4, "uniform-ks-decay", passed, detail, elapsed, tuple(lines))
+    return passed, detail, lines
 
 
 # -- criterion 5: orbit atom family pins the deviation at one ------------------
 
 
-def _c5_lines():
+def _criterion_counterexample():
     spec = rotation_spec(seed=9)
     path = generate(spec, 1000)
     fam = trajectory_family(
         spec.params["alpha_fixed"], path.fixed[0], precision=spec.precision, window=64
     )
     lines = []
-    values = []
+    passed = True
     for m in (1, 10, 100, 1000):
         dev = uniform_deviation(fam, 16, path, m).value
-        values.append(dev)
+        passed &= dev == 1
         lines.append(f"5,counterexample,{m},{dev.numerator},{dev.denominator}")
-    return lines, values
-
-
-def _criterion_counterexample() -> CriterionResult:
-    t0 = time.perf_counter()
-    lines, values = _c5_lines()
-    passed = all(v == 1 for v in values)
-    return CriterionResult(
-        5,
-        "orbit-atom-family",
-        passed,
-        "deviation exactly 1 at every m" if passed else "deviation moved off 1",
-        time.perf_counter() - t0,
-        tuple(lines),
-    )
+    return passed, "deviation exactly 1 at every m" if passed else "deviation moved off 1", lines
 
 
 # -- criterion 6: straightening maps are exactly measure preserving ------------
 
 
-def _criterion_straightening() -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_straightening():
     lines = []
     ok = True
     for rep in range(10):
@@ -309,21 +262,14 @@ def _criterion_straightening() -> CriterionResult:
     dev = doubling_map_deviation(8, probe_order=10)
     ok &= dev <= Fraction(1, 128)
     lines.append(f"6,doubling,{dev.numerator},{dev.denominator}")
-    return CriterionResult(
-        6,
-        "straightening-exactness",
-        bool(ok),
-        f"defects 0 on 100 probes, 50 aligned images exact, doubling sup {dev}",
-        time.perf_counter() - t0,
-        tuple(lines),
-    )
+    detail = f"defects 0 on 100 probes, 50 aligned images exact, doubling sup {dev}"
+    return bool(ok), detail, lines
 
 
 # -- criterion 7: first-return frequency identity ------------------------------
 
 
-def _criterion_induced() -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_induced():
     lines = []
     holds = 0
     for t in range(1000):
@@ -361,7 +307,7 @@ def _criterion_induced() -> CriterionResult:
         f"{holds}/1000 identities exact, pacing {float(w):.5f}, "
         f"mean return {float(ret):.4f}"
     )
-    return CriterionResult(7, "first-return-identity", passed, detail, time.perf_counter() - t0, tuple(lines))
+    return passed, detail, lines
 
 
 # -- criterion 8: graph-lift reductions ----------------------------------------
@@ -382,8 +328,7 @@ def _c8_lines(workers: int):
     ], rows
 
 
-def _criterion_graph_split(workers: int) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_graph_split(workers: int):
     lines = []
     sandwich_ok = 0
     for seed in range(100):
@@ -406,13 +351,13 @@ def _criterion_graph_split(workers: int) -> CriterionResult:
         f"sandwich {sandwich_ok}/100, triangle exact on all splits, "
         f"{below}/100 under rate bound {bound:.4f}"
     )
-    return CriterionResult(8, "graph-split-bounds", passed, detail, time.perf_counter() - t0, tuple(lines))
+    return passed, detail, lines
 
 
 # -- criterion 9: dynamic program matches brute force --------------------------
 
 
-def _c9_lines():
+def _criterion_dp_oracle():
     lines = []
     agree = True
     for seed in range(63):
@@ -420,67 +365,52 @@ def _c9_lines():
         for m in range(1, 9):
             for k in (1, 2):
                 dp = max_deviation_k_intervals(path, m, k).value
-                if dp != brute_k_interval_sup(path, m, k):
-                    agree = False
+                agree &= dp == brute_k_interval_sup(path, m, k)
                 lines.append(f"9,dp,{seed},{m},{k},{dp.numerator},{dp.denominator}")
-    return lines, agree
-
-
-def _criterion_dp_oracle() -> CriterionResult:
-    t0 = time.perf_counter()
-    lines, agree = _c9_lines()
-    return CriterionResult(
-        9,
-        "dp-vs-brute",
-        agree,
-        f"{len(lines)} instances, exact agreement" if agree else "disagreement found",
-        time.perf_counter() - t0,
-        tuple(lines),
-    )
+    return agree, f"{len(lines)} instances, exact agreement" if agree else "disagreement found", lines
 
 
 # -- criterion 10: determinism across runs and worker counts -------------------
 
 
-def _criterion_determinism(c4_lines, c8_lines) -> CriterionResult:
-    t0 = time.perf_counter()
-    checks = []
-    serial4, _, _ = _c4_lines(1)
-    parallel4, _, _ = _c4_lines(8)
-    checks.append(("ks-traces", serial4 == parallel4 == list(c4_lines)))
-    splits_seen = [line for line in c8_lines if line.startswith("8,split,")]
-    serial8, _ = _c8_lines(1)
-    parallel8, _ = _c8_lines(8)
-    checks.append(("graph-splits", serial8 == parallel8 == splits_seen))
-    first, _ = _c5_lines()
-    second, _ = _c5_lines()
-    checks.append(("orbit-rerun", first == second))
+def _criterion_determinism(ks_lines, graph_lines):
+    """Criterion 4 at 1 and 8 workers, the criterion-8 splits at 1 and 8
+    workers and criterion 5 twice, each compared with the lines seen."""
+    splits_seen = [line for line in graph_lines if line.startswith("8,split,")]
+    checks = [
+        ("ks-traces", _criterion_ks(1)[2] == _criterion_ks(8)[2] == list(ks_lines)),
+        ("graph-splits", _c8_lines(1)[0] == _c8_lines(8)[0] == splits_seen),
+        ("orbit-rerun", _criterion_counterexample()[2] == _criterion_counterexample()[2]),
+    ]
     lines = [f"10,determinism,{name},{int(ok)}" for name, ok in checks]
-    passed = all(ok for _, ok in checks)
-    return CriterionResult(
-        10,
-        "determinism",
-        passed,
-        "serial, parallel and repeated runs byte-identical",
-        time.perf_counter() - t0,
-        tuple(lines),
-    )
+    return all(ok for _, ok in checks), "serial, parallel and repeated runs byte-identical", lines
 
 
 def run_suite(workers: int = 1) -> SuiteReport:
-    """Run every shipped acceptance experiment at the given worker count."""
-    results = [
-        _criterion_sauer(),
-        _criterion_join_witness(),
-        _criterion_dimensions(),
-        _criterion_ks(workers),
-        _criterion_counterexample(),
-        _criterion_straightening(),
-        _criterion_induced(),
-        _criterion_graph_split(workers),
-        _criterion_dp_oracle(),
-    ]
-    results.append(
-        _criterion_determinism(results[3].lines, results[7].lines)
+    """Run every shipped acceptance experiment at the given worker count.
+
+    A criterion passes when its experiment passes within its time limit.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    results = []
+    criteria = (
+        ("shatter-vs-binomial-bound", 60, _criterion_sauer),
+        ("join-witness", math.inf, _criterion_join_witness),
+        ("known-dimensions", math.inf, _criterion_dimensions),
+        ("uniform-ks-decay", 120, partial(_criterion_ks, workers)),
+        ("orbit-atom-family", math.inf, _criterion_counterexample),
+        ("straightening-exactness", math.inf, _criterion_straightening),
+        ("first-return-identity", math.inf, _criterion_induced),
+        ("graph-split-bounds", math.inf, partial(_criterion_graph_split, workers)),
+        ("dp-vs-brute", math.inf, _criterion_dp_oracle),
+        ("determinism", math.inf, lambda: _criterion_determinism(results[3].lines, results[7].lines)),
     )
+    for number, (name, limit, criterion) in enumerate(criteria, 1):
+        t0 = perf_counter()
+        passed, detail, lines = criterion()
+        seconds = perf_counter() - t0
+        results.append(
+            CriterionResult(number, name, passed and seconds < limit, detail, seconds, tuple(lines))
+        )
     return SuiteReport(tuple(results), workers)

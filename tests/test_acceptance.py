@@ -1,7 +1,8 @@
 """Acceptance gate: one test per shipped criterion, at the stated tolerances.
 
 Criteria 1..9 assert on a single shared suite run (each criterion checks its
-own tolerances and runtime caps internally and carries a one-line detail).
+own tolerances, the runner applies the runtime caps, and each carries a
+one-line detail).
 Criterion 10 runs the full suite twice more and byte-compares the exact CSV
 artifact across repeated runs and across 1 vs 8 workers.
 """
@@ -10,7 +11,7 @@ import hashlib
 
 import pytest
 
-from ergodic_vc import run_suite
+from ergodic_vc.suite import run_suite
 
 # sha256 of the suite CSV; any change to an exact result changes it.
 SUITE_CSV_SHA256 = "7fc7eb9b409ca0eace57269e501747faf4965de68f2222246ef841fb5a0c4c19"

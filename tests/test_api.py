@@ -44,10 +44,11 @@ def test_every_reexported_name_has_a_non_test_caller():
 
 def test_cli_import_needs_neither_jsonschema_nor_the_process_pool():
     """A fresh interpreter imports the package and its CLI without loading
-    jsonschema (a test dependency) or the pool module (loaded by fan_out)."""
+    jsonschema (a test dependency), the pool module (loaded by fan_out) or
+    the suite (loaded by the ``suite`` subcommand)."""
     probe = (
-        "import sys, ergodic_vc, ergodic_vc.cli; "
-        "print([m for m in ('jsonschema', 'concurrent.futures.process') if m in sys.modules])"
+        "import sys, ergodic_vc, ergodic_vc.cli; print([m for m in "
+        "('jsonschema', 'concurrent.futures.process', 'ergodic_vc.suite') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": str(INIT.parents[1])}
     proc = subprocess.run(

@@ -531,6 +531,17 @@ def test_family_section_without_name_uses_dyadic(invoke, tmp_path):
     assert report["family"] == "dyadic" and report["dim"] == 2
 
 
+@pytest.mark.parametrize("command", ["vcdim", "shatter"])
+def test_intervals_default_order_is_the_built_order(invoke, command):
+    """The family and its probe grid read one default order: 3 for intervals."""
+    reports = []
+    for extra in ([], ["--order", "3"]):
+        code, out, _ = invoke([command, "--family", "intervals", *extra])
+        assert code == 0
+        reports.append({k: v for k, v in json.loads(out).items() if k not in ("config", "wall_time")})
+    assert reports[0] == reports[1]
+
+
 def test_report_echoes_merged_config(invoke, monkeypatch):
     monkeypatch.delenv("ERGODIC_VC_WORKERS", raising=False)
     code, out, _ = invoke(["vcdim", "--family", "dyadic", "--order", "3"])

@@ -439,11 +439,16 @@ def test_trace_rejects_bad_seeds_and_grids_before_any_job(m_grid, seeds, monkeyp
 
 
 @pytest.mark.parametrize("workers", [0, -1])
-def test_worker_count_below_one_raises(workers):
-    """The library rejects what the CLI rejects with exit 2 (deviation_trace
-    and run_suite both go through fan_out)."""
+def test_worker_count_below_one_raises(workers, monkeypatch):
+    """The library rejects what the CLI rejects with exit 2, and
+    deviation_trace does so before it compiles the family's rows."""
     with pytest.raises(ValueError, match="workers must be >= 1"):
         fan_out(abs, [1, 2], workers)
+
+    def no_rows(*args):
+        raise AssertionError("rows compiled")
+
+    monkeypatch.setattr(SetFamily, "rows", no_rows)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         deviation_trace(dyadic_class(3), 14, iid_spec(0), [10], [0], workers=workers)
 

@@ -205,19 +205,6 @@ def test_every_kind_is_prefix_stable_across_block_boundaries(spec, n, big):
     assert generate(spec, n).fixed == generate(spec, big).fixed[:n]
 
 
-def test_generate_avoid_points_replaces_collisions():
-    spec = rotation_spec(seed=0, x0_fixed=0, alpha_fixed=1 << 126)
-    collide = F(1, 2)
-    path = generate(spec, 8, avoid=(collide,))
-    assert path.audit
-    scale = 1 << path.precision
-    for n in path.fixed:
-        assert F(n, scale) != collide
-    for index, original in path.audit:
-        assert F(original, scale) == collide
-        assert path.fixed[index - 1] == (original + 1) % scale
-
-
 def test_markov_stationary_distribution_exact():
     matrix = [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]]
     pi = stationary_distribution(matrix)
