@@ -2,14 +2,17 @@
 
 Each run merges one config: a flag beats ERGODIC_VC_WORKERS (the ``workers``
 key), which beats the JSON config file, which beats the built-in default.
-The merged config passes one schema check before any work starts, so a bad
-flag, environment value or file value alike exits 2 with a JSON pointer;
-JSON reports echo the merged config, and its ``output`` key (or ``--output``)
-redirects the main artifact to a file.
-Exit codes: 0 success, 1 runtime error, 2 bad configuration (message carries
-a JSON-pointer path), 3 resource cap exceeded. Tabular artifacts are CSV
-with exact numerator/denominator columns next to any float column; summary
-output is JSON on stdout.
+Each argument is declared once, in one table. Before any work starts the
+merged config, then the subcommand's own arguments, pass one schema walk, so
+a bad flag, config key or environment value exits 2 with empty stdout and
+``config error at WHERE: MESSAGE`` on stderr; WHERE is the JSON pointer of a
+config key (``/family/order``, also for its flag) or an own flag (``--window``,
+``--set/1``). Exit 1 is a ``ValueError`` raised while the work runs; exit 3
+is a resource cap (the join's 20 sets here, also the k-interval DP's
+``cost_cap`` in the library). JSON reports echo the merged config; its
+``output`` key (or ``--output``) redirects the main artifact to a file.
+Artifacts are CSV with exact numerator/denominator columns next to any float
+column; summaries are JSON on stdout.
 """
 
 from __future__ import annotations
@@ -41,14 +44,14 @@ from .processes import (
     generate,
     golden_alpha_fixed,
     rotation_spec,
+    stationary_distribution,
     trajectory_family,
 )
-from .vc import full_join_witness, join, sauer_bound, shatter_coefficient, vc_dimension
+from .vc import _distinct, full_join_witness, join, sauer_bound, shatter_coefficient, vc_dimension
 
 # Seeds key a 64-bit counter generator; larger seeds would alias smaller ones.
-_SEED_MAX = (1 << 64) - 1
-_PROCESS_KINDS = ["iid-uniform", "rotation", "doubling", "markov"]
-_FAMILY_NAMES = ["dyadic", "half", "intervals", "run-pattern", "trajectory"]
+_SEED = {"type": "integer", "minimum": 0, "maximum": (1 << 64) - 1}
+_POSITIVE = {"type": "integer", "minimum": 1}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -58,8 +61,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": _PROCESS_KINDS},
-                "seed": {"type": "integer", "minimum": 0, "maximum": _SEED_MAX},
+                "kind": {"enum": ["iid-uniform", "rotation", "doubling", "markov"]},
+                "seed": _SEED,
                 "params": {"type": "object"},
             },
         },
@@ -67,28 +70,20 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "name": {"enum": _FAMILY_NAMES},
+                "name": {"enum": ["dyadic", "half", "intervals", "run-pattern", "trajectory"]},
                 "order": {"type": "integer", "minimum": 1, "maximum": 16},
-                "k": {"type": "integer", "minimum": 1},
-                "window": {"type": "integer", "minimum": 1},
+                "k": _POSITIVE,
+                "window": _POSITIVE,
                 "budget": {"type": "integer", "minimum": 0},
                 "alpha_fixed": {"type": "string"},
                 "x0_fixed": {"type": "string"},
             },
         },
-        "m_grid": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "seeds": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0, "maximum": _SEED_MAX},
-            "minItems": 1,
-        },
+        "m_grid": {"type": "array", "items": _POSITIVE, "minItems": 1, "description": "ascending, e.g. 10,100"},
+        "seeds": {"type": "array", "items": _SEED, "minItems": 1, "description": "with ranges, e.g. 0-9,20"},
         "precision": {"type": "integer", "minimum": 64},
-        "workers": {"type": "integer", "minimum": 1},
-        "output": {"type": "string"},
+        "workers": _POSITIVE,
+        "output": {"type": "string", "description": "write the main artifact to this path"},
     },
 }
 
@@ -103,7 +98,8 @@ def _checked(value, schema, pointer=""):
     come before children and keys go in sorted order, so the ``_Violation``
     raised is the first of a draft 2020-12 validator's errors sorted by path,
     message included: an integral float is an integer, a bool never is, and
-    NaN or an infinity is a type error.
+    NaN or an infinity is a type error. An argument's own fragment may add
+    ``parse``, a reader from checked text to the value a handler takes.
     """
     kind = schema.get("type")
     if kind == "integer":
@@ -113,6 +109,12 @@ def _checked(value, schema, pointer=""):
         ok = kind is None or isinstance(value, {"object": dict, "array": list, "string": str}[kind])
     if not ok:
         raise _Violation(pointer, f"{value!r} is not of type {kind!r}")
+    if "parse" in schema:
+        try:
+            value = schema["parse"](value)
+        except (ValueError, ZeroDivisionError) as e:
+            reason = "zero denominator" if isinstance(e, ZeroDivisionError) else e
+            raise _Violation(pointer, f"{value!r} does not parse: {reason}") from None
     if "enum" in schema and value not in schema["enum"]:
         raise _Violation(pointer, f"{value!r} is not one of {schema['enum']!r}")
     if "minimum" in schema and value < schema["minimum"]:
@@ -147,6 +149,11 @@ def _validate_config(config) -> str | None:
     family = _family_params(config)
     if family["name"] == "run-pattern" and family["order"] > 4:
         return "/family/order: run-pattern grids hold 2**order <= 20 points, so order <= 4"
+    if config.get("process", {}).get("kind") == "markov":
+        try:
+            stationary_distribution(_process_spec(config).params["matrix"])
+        except (ValueError, TypeError, ArithmeticError) as e:
+            return f"/process/params: {e}"
     return None
 
 
@@ -176,9 +183,6 @@ def _build_family(params, precision: int) -> SetFamily:
     return trajectory_family(alpha, int(params.get("x0_fixed", 0)), precision, params.get("window", 1))
 
 
-_DEFAULT_BUDGETS = {"trajectory": 16}
-
-
 def _family_params(config) -> dict:
     """Family section with its defaults: name dyadic, order 3 for intervals and 4 otherwise."""
     params = {"name": "dyadic", **config.get("family", {})}
@@ -190,10 +194,8 @@ def _family(config) -> tuple[dict, SetFamily, int]:
     """Family section with its defaults, the family and its budget."""
     params = _family_params(config)
     fam = _build_family(params, _seed_precision(config)[1])
-    budget = params.get("budget")
-    if budget is None:
-        budget = fam.size if fam.size is not None else _DEFAULT_BUDGETS.get(params["name"], 32)
-    return params, fam, budget
+    default = fam.size if fam.size is not None else 16 if params["name"] == "trajectory" else 32
+    return params, fam, params.get("budget", default)
 
 
 def _seed_precision(config) -> tuple[int, int]:
@@ -247,10 +249,7 @@ def _probe_points(order: int) -> list[Fraction]:
 
 def _cmd_shatter(args, config) -> int:
     params, fam, upto = _family(config)
-    if args.points:
-        points = [Fraction(tok) for tok in args.points.split(",")]
-    else:
-        points = _probe_points(params["order"])
+    points = args.points or _probe_points(params["order"])
     s = shatter_coefficient(points, fam, upto)
     body = {"family": params["name"], "members": upto, "points": len(points), "shatter": s}
     _report(args, "shatter", body, config)
@@ -274,29 +273,13 @@ def _cmd_vcdim(args, config) -> int:
 
 
 def _cmd_join_witness(args, config) -> int:
-    if args.set:
-        sets = [iu(text) for text in args.set]
-        jp = join(sets)
-        body = {
-            "sets": len(sets),
-            "cells": len(jp.cells),
-            "full": jp.is_full,
-        }
-    else:
-        sets = subset_indexed_sets(args.k)
-        jp = join(sets)
+    sets = args.set or subset_indexed_sets(args.k)
+    jp = join(sets)
+    body = {"sets": len(sets), "cells": len(jp.cells), "full": jp.is_full}
+    if not args.set:
         witness = full_join_witness(jp)
-        fam = SetFamily.of("joined", sets)
-        s = shatter_coefficient(witness, fam, len(sets))
-        body = {
-            "k": args.k,
-            "sets": len(sets),
-            "cells": len(jp.cells),
-            "full": jp.is_full,
-            "witness": [str(x) for x in witness],
-            "shatter": s,
-            "shattered": s == 1 << args.k,
-        }
+        s = shatter_coefficient(witness, SetFamily.of("joined", sets), len(sets))
+        body.update(k=args.k, witness=[str(x) for x in witness], shatter=s, shattered=s == 1 << args.k)
     _report(args, "join-witness", body, config)
     return 0
 
@@ -312,20 +295,16 @@ def _cmd_converge(args, config) -> int:
     bundle = deviation_trace(fam, upto, spec, m_grid, seeds, workers=config.get("workers", 1))
     _emit("\n".join([_CSV_HEADER] + bundle.csv_rows()) + "\n", config)
     if config.get("output"):
-        _report(
-            args,
-            "converge",
-            {
-                "family": params["name"],
-                "members": upto,
-                "process": spec.kind,
-                "m_grid": list(m_grid),
-                "seeds": len(seeds),
-                "median_gamma": [_rat(v) for v in bundle.median_values],
-                "rows": len(seeds) * len(m_grid),
-            },
-            config,
-        )
+        body = {
+            "family": params["name"],
+            "members": upto,
+            "process": spec.kind,
+            "m_grid": list(m_grid),
+            "seeds": len(seeds),
+            "median_gamma": [_rat(v) for v in bundle.median_values],
+            "rows": len(seeds) * len(m_grid),
+        }
+        _report(args, "converge", body, config)
     return 0
 
 
@@ -336,8 +315,7 @@ def _cmd_counterexample(args, config) -> int:
     x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)
     spec = rotation_spec(seed=seed, x0_fixed=x0, precision=precision)
     alpha = spec.params["alpha_fixed"]
-    # The orbit family starts at x_1; building it first rejects a bad
-    # window before any point is generated.
+    # The orbit family starts at x_1.
     fam = trajectory_family(alpha, (x0 + alpha) % (1 << precision), precision, window)
     path = generate(spec, m_max)
     upto = max(2, -(-(m_max - 1) // window) if m_max > 1 else 1)
@@ -348,10 +326,7 @@ def _cmd_counterexample(args, config) -> int:
         res = uniform_deviation(fam, upto, path, m)
         constant_one &= res.value == 1
         arg = "" if res.argmax is None else res.argmax
-        rows.append(
-            f"{seed},{m},{res.value.numerator},{res.value.denominator},"
-            f"{float(res.value)!r},{arg}"
-        )
+        rows.append(f"{seed},{m},{res.value.numerator},{res.value.denominator},{float(res.value)!r},{arg}")
     _emit("\n".join(rows) + "\n", config)
     if not constant_one:
         print("warning: deviation left 1; expected the orbit-atom pin", file=sys.stderr)
@@ -360,17 +335,12 @@ def _cmd_counterexample(args, config) -> int:
 
 def _cmd_isomorphism(args, config) -> int:
     if args.set:
-        sets = [iu(text) for text in args.set]
-        phi = build_map(sets)
-        body = {"stages": len(sets)}
+        phi = build_map(args.set)
+        body = {"stages": len(args.set)}
     else:
         phi = doubling_map(args.stage)
         dev = doubling_deviation(phi, args.probe_order)
-        body = {
-            "stages": args.stage,
-            "doubling_sup": _rat(dev),
-            "doubling_grid": 1 << args.probe_order,
-        }
+        body = {"stages": args.stage, "doubling_sup": _rat(dev), "doubling_grid": 1 << args.probe_order}
     probes = list(dyadic_class(6).members(126))
     defect = measure_preservation_defect(phi, probes)
     body.update({"pieces": len(phi.pieces), "defect": _rat(defect), "probes": len(probes)})
@@ -380,9 +350,7 @@ def _cmd_isomorphism(args, config) -> int:
 
 def _cmd_induced(args, config) -> int:
     seed, precision = _seed_precision(config)
-    region = iu(args.region)
-    if region.is_empty:
-        raise ValueError("region must have positive measure")
+    region = args.region
     count = args.count
     m = count if args.m is None else args.m
     need = max(1000, int(count / float(region.measure)) * 3)
@@ -394,8 +362,7 @@ def _cmd_induced(args, config) -> int:
     spec = _process_spec({**config, "process": process})
     path = generate(spec, need)
     ip = induce(path, region, count)
-    member = iu(args.member)
-    ident = frequency_transfer_identity(ip, member, m)
+    ident = frequency_transfer_identity(ip, args.member, m)
     body = {
         "process": spec.kind,
         "region": str(region),
@@ -454,11 +421,6 @@ def _int_or_text(token: str):
         return token
 
 
-def _int_list(text: str) -> list:
-    """Comma list of ints; a token that is not an int stays text for the schema."""
-    return [_int_or_text(token) for token in text.split(",")]
-
-
 def _seed_list(text: str) -> list:
     """Comma list of ints and lo-hi ranges, e.g. '0-9,20'; bad tokens stay text."""
     seeds = []
@@ -474,95 +436,120 @@ def _seed_list(text: str) -> list:
     return seeds
 
 
-# -- parser -----------------------------------------------------------------------
+def _points(text: str) -> tuple:
+    """Comma-separated distinct rationals, e.g. '1/8,3/8'."""
+    return _distinct(map(Fraction, text.split(",")))
+
+
+# -- arguments --------------------------------------------------------------------
+
+# Each argument is declared once, as (flag, dest, schema fragment, default).
+# A dest that is a config path takes its fragment from CONFIG_SCHEMA (the slot
+# holds None) and main merges it into the config; any other dest is the
+# subcommand's own argument, checked against its fragment right after the
+# config. Argparse only splits tokens, so every value meets the one walk.
+_COMMON = (
+    ("--config", "config", {"type": "string", "description": "JSON experiment config file"}, None),
+    ("--seed", "process.seed", None, None),
+    ("--precision", "precision", None, None),
+    ("--budget", "family.budget", None, None),
+    ("--workers", "workers", None, None),
+    ("--output", "output", None, None),
+)
+_FAMILY = (
+    ("--family", "family.name", None, None),
+    ("--order", "family.order", None, None),
+    ("--k", "family.k", None, None),
+    ("--window", "family.window", None, None),
+)
+_PROCESS = ("--process", "process.kind", None, None)
+_M = ("--m", "m", _POSITIVE, 1000)
+_UNION = {"type": "string", "parse": iu, "description": "interval union, e.g. '[0,1/4) u [1/2,1)'"}
+_SETS = ("--set", "set", {"type": "array", "items": _UNION, "description": "an interval union; repeatable"}, None)
+# The doubling work grows like 2**stage; 20 is the join's set cap.
+_ORDER = {"type": "integer", "minimum": 1, "maximum": 20}
+_SUBCOMMANDS = {  # name: (handler, help, rows after _COMMON)
+    "shatter": (_cmd_shatter, "shatter coefficient on a point grid", [
+        *_FAMILY,
+        ("--points", "points", {"type": "string", "parse": _points, "description": "e.g. 1/8,3/8"}, None),
+    ]),
+    "vcdim": (_cmd_vcdim, "exhaustive dimension over a probe grid", [*_FAMILY, ("--max-k", "max_k", _POSITIVE, 6)]),
+    # 2**k subset-indexed sets; k = 4 already joins to 65,536 cells.
+    "join-witness": (_cmd_join_witness, "full join and certified shattered points",
+                     [("--k", "k", {"type": "integer", "minimum": 1, "maximum": 4}, 2), _SETS]),
+    "converge": (_cmd_converge, "seeded uniform-deviation traces (CSV)",
+                 [*_FAMILY, _PROCESS, ("--m-grid", "m_grid", None, None), ("--seeds", "seeds", None, None)]),
+    "counterexample": (_cmd_counterexample, "orbit-atom family pins deviation at 1 (CSV)",
+                       [("--window", "window", _POSITIVE, 64), _M]),
+    "isomorphism": (_cmd_isomorphism, "straightening map diagnostics",
+                    [("--stage", "stage", _ORDER, 4), ("--probe-order", "probe_order", _ORDER, 10), _SETS]),
+    "induced": (_cmd_induced, "first-return sampling diagnostics", [
+        _PROCESS,
+        ("--region", "region", _UNION, "[0,1/3)"),
+        ("--member", "member", _UNION, "[0,1/6)"),
+        ("--count", "count", _POSITIVE, 100),
+        ("--m", "m", {**_POSITIVE, "description": "at most --count, its default"}, None),
+    ]),
+    "graph-lift": (_cmd_graph_lift, "auxiliary-uniform lift and deviation split",
+                   [_PROCESS, _M, ("--yseed", "yseed", _SEED, 1)]),
+    "suite": (_cmd_suite, "run every shipped acceptance experiment", []),
+}
+# Comma-list tokenizers (a token that is not an int stays text for the walk);
+# any other array argument repeats its flag instead.
+_LISTS = {"m_grid": lambda text: [_int_or_text(token) for token in text.split(",")], "seeds": _seed_list}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # A flag with a config key takes that key's path as its dest, so main can
-    # merge it into the config before the one schema check.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON experiment config file")
-    common.add_argument("--seed", dest="process.seed", type=int, help="process seed")
-    common.add_argument("--precision", type=int, help="fixed-point bits (>= 64)")
-    common.add_argument("--budget", dest="family.budget", type=int, help="family member budget")
-    common.add_argument("--workers", type=int, help="worker process count")
-    common.add_argument("--output", help="write the main artifact to this path")
-
-    family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", dest="family.name", choices=_FAMILY_NAMES, help="family name")
-    family.add_argument("--order", dest="family.order", type=int, help="family grid order")
-    family.add_argument("--k", dest="family.k", type=int, help="family interval/run count")
-    family.add_argument("--window", dest="family.window", type=int, help="trajectory window size")
-
     parser = argparse.ArgumentParser(
         prog="ergodic-vc",
         description="exact experiments on interval families along sampled orbits",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("shatter", parents=[common, family], help="shatter coefficient on a point grid")
-    p.add_argument("--points", help="comma-separated rational points")
-    p.set_defaults(handler=_cmd_shatter)
-
-    p = sub.add_parser("vcdim", parents=[common, family], help="exhaustive dimension over a probe grid")
-    p.add_argument("--max-k", type=int, default=6)
-    p.set_defaults(handler=_cmd_vcdim)
-
-    p = sub.add_parser("join-witness", parents=[common], help="full join and certified shattered points")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--set", action="append", help="interval union in DSL form; repeatable")
-    p.set_defaults(handler=_cmd_join_witness)
-
-    p = sub.add_parser("converge", parents=[common, family], help="seeded uniform-deviation traces (CSV)")
-    p.add_argument("--process", dest="process.kind", choices=_PROCESS_KINDS)
-    p.add_argument("--m-grid", type=_int_list, help="comma-separated ascending sample counts")
-    p.add_argument("--seeds", type=_seed_list, help="comma or range list, e.g. 0-9,20")
-    p.set_defaults(handler=_cmd_converge)
-
-    p = sub.add_parser("counterexample", parents=[common], help="orbit-atom family pins deviation at 1 (CSV)")
-    p.add_argument("--window", type=int, default=64)
-    p.add_argument("--m", type=int, default=1000)
-    p.set_defaults(handler=_cmd_counterexample)
-
-    p = sub.add_parser("isomorphism", parents=[common], help="straightening map diagnostics")
-    # The doubling work grows like 2**order; 20 is the join's set cap.
-    p.add_argument("--stage", type=int, choices=range(1, 21), metavar="1..20", default=4)
-    p.add_argument("--probe-order", type=int, choices=range(1, 21), metavar="1..20", default=10)
-    p.add_argument("--set", action="append", help="interval union in DSL form; repeatable")
-    p.set_defaults(handler=_cmd_isomorphism)
-
-    p = sub.add_parser("induced", parents=[common], help="first-return sampling diagnostics")
-    p.add_argument("--process", dest="process.kind", choices=_PROCESS_KINDS)
-    p.add_argument("--region", default="[0,1/3)")
-    p.add_argument("--member", default="[0,1/6)")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--m", type=int)
-    p.set_defaults(handler=_cmd_induced)
-
-    p = sub.add_parser("graph-lift", parents=[common], help="auxiliary-uniform lift and deviation split")
-    p.add_argument("--process", dest="process.kind", choices=_PROCESS_KINDS)
-    p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--yseed", type=int, default=1)
-    p.set_defaults(handler=_cmd_graph_lift)
-
-    p = sub.add_parser("suite", parents=[common], help="run every shipped acceptance experiment")
-    p.set_defaults(handler=_cmd_suite)
-
+    for name, (handler, text, rows) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        rows = (*_COMMON, *rows)
+        for flag, dest, fragment, default in rows:
+            head, _, leaf = dest.partition(".")
+            schema = fragment or CONFIG_SCHEMA["properties"][head]
+            schema = schema["properties"][leaf] if leaf else schema
+            kind = schema.get("type")
+            if dest in _LISTS or kind == "integer":
+                tokens = {"type": _LISTS.get(dest, _int_or_text)}
+            else:
+                tokens = {"action": "append"} if kind == "array" else {}
+            shown = [schema.get("description")]
+            shown += [f"{key} {schema[key]}" for key in ("enum", "minimum", "maximum") if key in schema]
+            shown += [None if default is None else f"default {default}"]
+            p.add_argument(flag, dest=dest, default=default, help=", ".join(filter(None, shown)) or None, **tokens)
+        p.set_defaults(handler=handler, rows=rows)
     return parser
 
 
+def _validate_args(args) -> str | None:
+    """First bad own argument as 'flag: message', or None (values read in place)."""
+    try:
+        for flag, dest, fragment, _ in args.rows:
+            value = getattr(args, dest)
+            if fragment is not None and value is not None:
+                setattr(args, dest, _checked(value, fragment, flag))
+    except _Violation as e:
+        return f"{e.args[0]}: {e.args[1]}"
+    if args.subcommand == "induced" and args.region.is_empty:
+        return "--region: the region must have positive measure"
+    if args.subcommand == "induced" and args.m is not None and args.m > args.count:
+        return f"--m: {args.m} is greater than --count {args.count}"
+    return None
+
+
 def _merge_overrides(config, args):
-    """Layer ERGODIC_VC_WORKERS, then every given flag with a config path, onto config."""
+    """Layer ERGODIC_VC_WORKERS, then every given flag of a config row, onto config."""
     if not isinstance(config, dict):
         return config  # the schema reports it at "/"
     env = os.environ.get("ERGODIC_VC_WORKERS")
     overrides = [("workers", _int_or_text(env))] if env else []
-    overrides += [
-        (dest, value)
-        for dest, value in vars(args).items()
-        if value is not None and dest.split(".")[0] in CONFIG_SCHEMA["properties"]
-    ]
+    given = [(dest, getattr(args, dest)) for _, dest, fragment, _ in args.rows if fragment is None]
+    overrides += [(dest, value) for dest, value in given if value is not None]
     for path, value in overrides:
         head, _, leaf = path.partition(".")
         if not leaf:
@@ -584,7 +571,7 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             return _config_error(f"/: {e}")
     config = _merge_overrides(config, args)
-    problem = _validate_config(config)
+    problem = _validate_config(config) or _validate_args(args)
     if problem is not None:
         return _config_error(problem)
     try:

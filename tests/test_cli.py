@@ -318,13 +318,14 @@ def test_induced_rotation_honours_process_params(invoke, tmp_path):
     assert (pacing["num"], pacing["den"]) == (199, 404)  # (1/8) * 398 / 101
 
 
-def test_induced_m_zero_exits_1(invoke):
-    for m in ("0", "-1"):
+def test_induced_m_out_of_range_exits_2(invoke):
+    for m, message in [("0", "less than the minimum of 1"), ("-1", "less than the minimum of 1"),
+                       ("301", "301 is greater than --count 300")]:
         code, out, err = invoke(["induced", "--count", "300", "--m", m])
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error:")
-        assert "1 <= m <= 300" in err
+        assert err.startswith("config error at --m: ")
+        assert message in err
 
 
 def test_graph_lift_report(invoke):
@@ -484,13 +485,12 @@ def test_converge_flags_follow_config_rules(invoke, flags, pointer):
 @pytest.mark.parametrize(
     "flags", [["--probe-order", "0"], ["--probe-order", "26"], ["--stage", "0"], ["--stage", "22"]]
 )
-def test_isomorphism_orders_out_of_range_exit_2(capsys, flags):
-    with pytest.raises(SystemExit) as exc:
-        main(["isomorphism"] + flags)
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "invalid choice" in out.err
+def test_isomorphism_orders_out_of_range_exit_2(invoke, flags):
+    code, out, err = invoke(["isomorphism"] + flags)
+    assert code == 2
+    assert out == ""
+    bound = "less than the minimum of 1" if flags[1] == "0" else "greater than the maximum of 20"
+    assert err == f"config error at {flags[0]}: {flags[1]} is {bound}\n"
 
 
 def test_run_pattern_order_beyond_grid_cap_exits_2(invoke, tmp_path):
@@ -587,11 +587,11 @@ def test_every_config_key_is_read_by_the_cli():
     assert unread == []
 
 
-def test_yseed_beyond_64_bits_exits_1(invoke):
+def test_yseed_beyond_64_bits_exits_2(invoke):
     code, out, err = invoke(["graph-lift", "--m", "50", "--yseed", str((1 << 64) + 6)])
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert "yseed" in err
+    assert err.startswith("config error at --yseed: ") and "greater than the maximum" in err
 
 
 def test_unknown_top_level_key_exits_2(invoke, tmp_path):
@@ -651,10 +651,15 @@ def test_join_cap_exits_3(invoke):
     assert "cap" in err
 
 
-def test_runtime_value_error_exits_1(invoke):
-    code, _, err = invoke(["join-witness", "--k", "9"])
+def test_runtime_value_error_exits_1(invoke, monkeypatch):
+    def fails(sets):
+        raise ValueError("stub failure")
+
+    monkeypatch.setattr(cli, "join", fails)
+    code, out, err = invoke(["join-witness", "--k", "2"])
     assert code == 1
-    assert err
+    assert out == ""
+    assert err == "error: stub failure\n"
 
 
 def test_counterexample_window_is_checked_before_any_path(invoke, monkeypatch):
@@ -663,26 +668,88 @@ def test_counterexample_window_is_checked_before_any_path(invoke, monkeypatch):
 
     monkeypatch.setattr(cli, "generate", no_path)
     code, out, err = invoke(["counterexample", "--window", "0", "--m", "1000"])
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert "window must be >= 1" in err
+    assert err == "config error at --window: 0 is less than the minimum of 1\n"
 
 
-def test_markov_without_params_exits_1(invoke):
-    code, _, err = invoke(["converge", "--family", "dyadic", "--process", "markov",
-                           "--m-grid", "10", "--seeds", "0"])
-    assert code == 1
-    assert "matrix" in err
+def test_markov_without_params_exits_2(invoke):
+    code, out, err = invoke(["converge", "--family", "dyadic", "--process", "markov",
+                             "--m-grid", "10", "--seeds", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error at /process/params: ") and "matrix" in err
 
 
-def test_invalid_markov_config_exits_1(invoke, tmp_path):
+def test_invalid_markov_config_exits_2(invoke, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "generate", _no_path)
     cfg = tmp_path / "chain.json"
-    params = {"matrix": [["1/2", "1/4"], ["1/4", "1/2"]], "cells": ["[0,3/4)", "[1/2,1)"]}
-    cfg.write_text(json.dumps({"process": {"kind": "markov", "params": params}}))
-    code, out, err = invoke(["converge", "--config", str(cfg), "--m-grid", "10", "--seeds", "0"])
-    assert code == 1
-    assert "rows must be nonnegative and sum to 1" in err
+    overlapping = ["[0,3/4)", "[1/2,1)"]
+    for matrix, message in [
+        ([["1/2", "1/4"], ["1/4", "1/2"]], "rows must be nonnegative and sum to 1"),
+        ([["1/2", "1/2"], ["1/2", "1/2"]], "cells must be disjoint"),
+        ([["1", "0"], ["0", "1"]], "chain is reducible"),
+    ]:
+        params = {"matrix": matrix, "cells": overlapping if "disjoint" in message else ["[0,1/2)", "[1/2,1)"]}
+        cfg.write_text(json.dumps({"process": {"kind": "markov", "params": params}}))
+        code, out, err = invoke(["converge", "--config", str(cfg), "--m-grid", "10", "--seeds", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error at /process/params: ") and message in err
+
+
+def _no_path(*args, **kwargs):
+    raise AssertionError("a path was generated")
+
+
+# Each bad argument, with the flag or JSON pointer its message names.
+BAD_ARGUMENTS = {
+    "counterexample --window 0": "--window",
+    "counterexample --m 0": "--m",
+    "vcdim --max-k 0": "--max-k",
+    "graph-lift --yseed -1": "--yseed",
+    "graph-lift --m 0": "--m",
+    "induced --count 0": "--count",
+    "induced --m 0": "--m",
+    "induced --count 300 --m 500": "--m",
+    "induced --region [0,1/2": "--region",
+    "induced --region [0,0)": "--region",
+    "induced --member [1/2,1/4)": "--member",
+    "join-witness --k 0": "--k",
+    "join-witness --k 5": "--k",
+    "join-witness --set [0,1/2) --set x": "--set/1",
+    "isomorphism --stage 21": "--stage",
+    "isomorphism --set [0,2)": "--set/0",
+    "shatter --family bogus": "/family/name",
+    "shatter --order x": "/family/order",
+    "shatter --points 1/0": "--points",
+    "shatter --points 1/2,x": "--points",
+    "shatter --points 1/2,1/2": "--points",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BAD_ARGUMENTS))
+def test_bad_argument_exits_2_before_any_work(invoke, monkeypatch, argv):
+    for name in ("generate", "join", "doubling_map", "build_map", "_family"):
+        monkeypatch.setattr(cli, name, _no_path)
+    code, out, err = invoke(argv.split())
+    assert code == 2
     assert out == ""
+    assert err.startswith(f"config error at {BAD_ARGUMENTS[argv]}: ")
+
+
+def test_every_flag_is_one_table_row_with_a_schema():
+    """Each subparser's options are exactly its rows, and a row that is not a
+    config path carries its own fragment, so no flag skips the walk."""
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    assert subparsers.keys() == cli._SUBCOMMANDS.keys()
+    for name, sub in subparsers.items():
+        rows = (*cli._COMMON, *cli._SUBCOMMANDS[name][2])
+        options = [(a.option_strings, a.dest, a.default) for a in sub._actions if a.dest != "help"]
+        assert options == [([flag], dest, default) for flag, dest, _, default in rows]
+        for flag, dest, fragment, _ in rows:
+            config_path = dest.split(".")[0] in CONFIG_SCHEMA["properties"]
+            assert (fragment is None) == config_path, flag
 
 
 # -- worker environment variable ------------------------------------------------------

@@ -1,11 +1,17 @@
 """Uniform deviations, KS statistic, exact k-interval maximization, traces."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ergodic_vc
 from ergodic_vc import (
     AtomSet,
     InsufficientDataError,
@@ -464,6 +470,26 @@ def test_trace_bundle_parallel_equals_serial():
         serial = deviation_trace(dyadic_class(3), 14, spec, [10, 100], list(range(6)), workers=1)
         parallel = deviation_trace(dyadic_class(3), 14, spec, [10, 100], list(range(6)), workers=4)
         assert serial.csv_rows() == parallel.csv_rows(), spec.kind
+
+
+SPAWNED_TRACE = """
+import json, multiprocessing
+from ergodic_vc import deviation_trace, dyadic_class, iid_spec
+multiprocessing.set_start_method("spawn")
+runs = [deviation_trace(dyadic_class(4), 30, iid_spec(0), [10, 100], range(4), workers=w) for w in (1, 2)]
+print(json.dumps([run.csv_rows() for run in runs]))
+"""
+
+
+def test_trace_pool_under_spawn_equals_serial():
+    """Workers started by "spawn" (no inherited state; forkserver is the
+    Linux default from Python 3.14) write the serial rows."""
+    src = str(Path(ergodic_vc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SPAWNED_TRACE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    serial, spawned = json.loads(proc.stdout)
+    assert len(serial) == 8 and spawned == serial
 
 
 def test_trace_builds_each_member_once_across_seeds():

@@ -43,6 +43,12 @@ def test_runner_numbers_times_and_caps_the_criteria(monkeypatch, c1, c4, passed)
     assert [r.seconds for r in report.results] == pytest.approx(seconds)
     assert [r.passed for r in report.results] == [passed, True, True, passed] + [True] * 6
     assert report.all_passed is passed
+    # A criterion that failed on its time limit alone says so in its detail.
+    c1_detail, c4_detail = [f"stub, over the {limit} s limit" if not passed else "stub" for limit in (60, 120)]
+    details = [c1_detail, "stub", "stub", c4_detail] + ["stub"] * 6
+    assert [r.detail for r in report.results] == details
+    mark = "PASS" if passed else "FAIL"
+    assert report.table().splitlines()[0] == f"{mark}   1  shatter-vs-binomial-bound: {c1_detail} ({c1:.1f}s)"
     expected = ["# suite exact records v1"] + [f"{i},{x}" for i in range(1, 11) for x in "ab"]
     assert report.csv_text == "\n".join(expected) + "\n"
     assert report.workers == 2
