@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -52,6 +53,8 @@ from .vc import _distinct, full_join_witness, join, sauer_bound, shatter_coeffic
 # Seeds key a 64-bit counter generator; larger seeds would alias smaller ones.
 _SEED = {"type": "integer", "minimum": 0, "maximum": (1 << 64) - 1}
 _POSITIVE = {"type": "integer", "minimum": 1}
+# A fixed-point numerator, in decimal digits (JSON numbers lose digits past 2**53).
+_NUMERATOR = {"type": "string", "pattern": "^[0-9]+$"}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -75,8 +78,8 @@ CONFIG_SCHEMA = {
                 "k": _POSITIVE,
                 "window": _POSITIVE,
                 "budget": {"type": "integer", "minimum": 0},
-                "alpha_fixed": {"type": "string"},
-                "x0_fixed": {"type": "string"},
+                "alpha_fixed": _NUMERATOR,
+                "x0_fixed": _NUMERATOR,
             },
         },
         "m_grid": {"type": "array", "items": _POSITIVE, "minItems": 1, "description": "ascending, e.g. 10,100"},
@@ -86,6 +89,18 @@ CONFIG_SCHEMA = {
         "output": {"type": "string", "description": "write the main artifact to this path"},
     },
 }
+# The params each process kind reads; a Markov chain is checked by solving it.
+_PARAMS = {
+    kind: {"type": "object", "additionalProperties": False, "properties": reads}
+    for kind, reads in {
+        "iid-uniform": {},
+        "doubling": {},
+        "rotation": {"alpha_fixed": _NUMERATOR, "x0_fixed": _NUMERATOR},
+        "markov": {"matrix": {}, "cells": {}},
+    }.items()
+}
+# The process kind of a run whose config names none.
+_DEFAULT_KIND = {"induced": "rotation"}
 
 
 class _Violation(Exception):
@@ -121,6 +136,8 @@ def _checked(value, schema, pointer=""):
         raise _Violation(pointer, f"{value!r} is less than the minimum of {schema['minimum']!r}")
     if "maximum" in schema and value > schema["maximum"]:
         raise _Violation(pointer, f"{value!r} is greater than the maximum of {schema['maximum']!r}")
+    if "pattern" in schema and not re.search(schema["pattern"], value):
+        raise _Violation(pointer, f"{value!r} does not match {schema['pattern']!r}")
     if kind == "object":
         props = schema.get("properties", {})
         extras = sorted(value.keys() - props, key=str)
@@ -137,10 +154,16 @@ def _checked(value, schema, pointer=""):
     return int(value) if kind == "integer" else value
 
 
-def _validate_config(config) -> str | None:
-    """First violation as 'pointer: message', or None (integer leaves cast in place)."""
+def _validate_config(config, default_kind: str = "iid-uniform") -> str | None:
+    """First violation as 'pointer: message', or None (integer leaves cast in place).
+
+    ``process.params`` may hold only the keys its kind reads, the kind being
+    ``default_kind`` when the config names none.
+    """
     try:
         _checked(config, CONFIG_SCHEMA)
+        process = config.get("process", {})
+        _checked(process.get("params", {}), _PARAMS[process.get("kind", default_kind)], "/process/params")
     except _Violation as e:
         return f"{e.args[0] or '/'}: {e.args[1]}"
     grid = config.get("m_grid")
@@ -354,7 +377,7 @@ def _cmd_induced(args, config) -> int:
     count = args.count
     m = count if args.m is None else args.m
     need = max(1000, int(count / float(region.measure)) * 3)
-    process = {"kind": "rotation", "params": {}, **config.get("process", {})}
+    process = {"kind": _DEFAULT_KIND["induced"], "params": {}, **config.get("process", {})}
     if process["kind"] == "rotation" and "x0_fixed" not in process["params"]:
         # An unset start point is a seeded uniform draw, not 0.
         x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)
@@ -571,7 +594,7 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             return _config_error(f"/: {e}")
     config = _merge_overrides(config, args)
-    problem = _validate_config(config) or _validate_args(args)
+    problem = _validate_config(config, _DEFAULT_KIND.get(args.subcommand, "iid-uniform")) or _validate_args(args)
     if problem is not None:
         return _config_error(problem)
     try:

@@ -18,7 +18,10 @@ and, for sweep output, ``from_sweep``.
 
 Points are counted one way: ``count_in`` takes a member's ``thresholds``
 and an ascending prefix of fixed-point numerators, and returns the
-alternating sum of the thresholds' ranks in it.
+alternating sum of the thresholds' ranks in it. Traces are read by ranks
+too: ``traces`` sorts a grid once and, per member, bisects a union's ends
+among the grid's floors over its denominator (or the floors among the
+ends), one bit mask per member.
 
 A small text form is supported for configs and reports::
 
@@ -191,6 +194,62 @@ def count_in(thresholds: Sequence[int], sorted_fixed: Sequence[int]) -> int:
     """
     ranks = [bisect_left(sorted_fixed, t) for t in thresholds]
     return sum(ranks[1::2]) - sum(ranks[::2])
+
+
+# A family's members share few denominators; the bound keeps one whose
+# members all differ from holding a floor list per member.
+_FLOOR_DENS = 64
+
+
+def traces(points: Sequence, members: Iterable) -> tuple[list[int], list[int]]:
+    """The trace reader: (order, one row per member) over the given points.
+
+    ``order`` lists the point indices in ascending order of the points, and
+    bit s of a row is set when points[order[s]] lies in the member, so equal
+    traces give equal rows. Points may repeat and lie outside [0, 1).
+
+    The points go on one denominator D, the lcm of theirs, and are sorted
+    once. Over a union's denominator den, point n / D has the floor
+    n * den // D: the integer ``in`` compares with the ends, so the point
+    lies inside when an odd number of ends are <= its floor. The floors
+    ascend with the points and are kept per denominator, for at most
+    ``_FLOOR_DENS`` denominators at a time. Each union bisects the shorter
+    of its two lists into the longer: with no more ends than points, its
+    row toggles at the rank (``bisect_left``) of each end among the floors,
+    as ``count_in`` counts; otherwise each floor is placed among the ends.
+    Any other member is read by ``in``, once per point.
+    """
+    ratios = [x.as_integer_ratio() for x in points]
+    D = lcm(*[d for _, d in ratios])
+    fixed = [n * (D // d) for n, d in ratios]
+    order = sorted(range(len(fixed)), key=fixed.__getitem__)
+    fixed.sort()
+    floors: dict[int, list[int]] = {}
+    rows = []
+    for member in members:
+        row = 0
+        if isinstance(member, IntervalUnion):
+            den, ends = member.den, member.ends
+            at = floors.get(den)
+            if at is None:
+                if len(floors) == _FLOOR_DENS:
+                    floors.clear()
+                at = floors[den] = [n * den // D for n in fixed]
+            if len(ends) <= len(at):
+                # Ranks r_0 <= r_1 <= ... make row the alternating sum
+                # (2**r_1 - 2**r_0) + (2**r_3 - 2**r_2) + ...
+                for e in ends:
+                    row = (1 << bisect_left(at, e)) - row
+            else:
+                for s, f in enumerate(at):
+                    if bisect_right(ends, f) & 1:
+                        row |= 1 << s
+        else:
+            for s, i in enumerate(order):
+                if points[i] in member:
+                    row |= 1 << s
+        rows.append(row)
+    return order, rows
 
 
 def from_sweep(den: int, ends: Sequence[int]) -> IntervalUnion:

@@ -1,12 +1,14 @@
 """Shatter coefficients, VC dimension search, joins and witness extraction.
 
 Everything here is finite and exact: families are evaluated on explicit
-point grids, traces are deduplicated bit masks, and the dimension search is
-a depth-first search that extends only shattered subsets of the grid. The
-search reads membership by columns (per point, the bit mask of members that
-contain it) and keeps, per shattered set, one member mask per pattern.
-Results are therefore relative to the supplied grid and budget, which the
-caller chooses.
+point grids, traces are deduplicated bit masks read by ``intervals.traces``
+(one row per member, from the ranks of its ends among the sorted grid), and
+the dimension search is a depth-first search that extends only shattered
+subsets of the grid. The search keeps one member per distinct trace, reads
+membership by columns (per point, the bit mask of those traces that contain
+it) and keeps, per shattered set, one trace mask per pattern. Results are
+therefore relative to the supplied grid and budget, which the caller
+chooses.
 """
 
 from __future__ import annotations
@@ -16,24 +18,13 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ResourceLimitError
-from .intervals import IntervalUnion, SetFamily, from_sweep, segments
-
-
-def _rows(points, members) -> tuple[int, ...]:
-    """One bit mask over ``points`` per member (bit t set when points[t] lies in it)."""
-    rows = []
-    for member in members:
-        mask = 0
-        for t, x in enumerate(points):
-            if x in member:
-                mask |= 1 << t
-        rows.append(mask)
-    return tuple(rows)
+from .intervals import IntervalUnion, SetFamily, from_sweep, segments, traces
 
 
 def _distinct(points) -> tuple:
     points = tuple(points)
-    if len(set(points)) != len(points):
+    # Integer pairs hash faster than Fractions; as_integer_ratio is in lowest terms.
+    if len({x.as_integer_ratio() for x in points}) != len(points):
         raise ValueError("duplicate points in ground set")
     return points
 
@@ -42,7 +33,7 @@ def shatter_coefficient(points, fam: SetFamily, upto: int) -> int:
     """Number of distinct subsets of ``points`` picked out by the family."""
     if not points:
         raise ValueError("ground set must be nonempty")
-    return len(set(_rows(_distinct(points), fam.members(upto))))
+    return len(set(traces(_distinct(points), fam.members(upto))[1]))
 
 
 @dataclass(frozen=True)
@@ -75,34 +66,71 @@ class VcDimension:
         return f"{prefix}{self.dim}"
 
 
+# Rows per block of toggle masks: ints of up to about 8,000 bits beat one
+# bytearray per rank, and whole blocks keep the build linear.
+_BLOCK = 4096
+
+
+def _columns(order: list[int], rows: list[int]) -> list[int]:
+    """Per point, in grid order, the mask of the rows that contain it.
+
+    ``order`` and ``rows`` are as ``intervals.traces`` returns them. A row
+    over the sorted points toggles where it differs from its shift by one,
+    so each sorted rank gets one mask of the rows toggling there, and the
+    columns are the prefix XORs of those masks. The masks are built in
+    blocks of ``_BLOCK`` rows, since setting bit j of an int of u bits costs
+    about u / 30 words, which would make one int per rank quadratic in u.
+    """
+    n = len(order)
+    below_n = (1 << n) - 1
+    flips = [0] * n
+    for base in range(0, len(rows), _BLOCK):
+        block = [0] * n
+        for j, row in enumerate(rows[base : base + _BLOCK]):
+            toggles = (row ^ row << 1) & below_n
+            while toggles:
+                r = toggles.bit_length() - 1
+                block[r] ^= 1 << j
+                toggles ^= 1 << r
+        flips = [f | mask << base for f, mask in zip(flips, block)]
+    cols = [0] * n
+    col = 0
+    for s, i in enumerate(order):
+        col ^= flips[s]
+        cols[i] = col
+    return cols
+
+
 def vc_dimension(fam: SetFamily, upto: int, grid, max_k: int) -> VcDimension:
     """Depth-first dimension search relative to ``grid`` and member budget.
 
-    ``cols[t]`` is the bit mask of members containing grid[t], one
-    membership test per (member, point) as in ``shatter_coefficient``. A
-    shattered point set keeps its cells: per pattern on the set, the mask of
-    members that cut that pattern, all nonempty; the empty set has one cell
-    holding every member. Point i with column c extends the set exactly when
-    every cell g splits, 0 != g & c != g, and the child's cells, built in
-    the same pass, are g & c and g & ~c. Shattered sets are closed under
+    The members' rows come from ``intervals.traces``, as in
+    ``shatter_coefficient``, and only the u distinct ones are kept: the
+    dimension, the witness and ``at_cap`` depend on nothing else. Bit j of
+    ``cols[t]`` is set when trace j contains grid[t] (``_columns``).
+
+    A shattered point set keeps its cells: per pattern on the set, the mask
+    of traces that cut that pattern, all nonempty; the empty set has one
+    cell holding every trace. Point i with column c extends the set exactly
+    when every cell g splits, 0 != g & c != g, and the child's cells, built
+    in the same pass, are g & c and g & ~c. Shattered sets are closed under
     subsets, so the search extends only shattered sets, adding points in
     index order, and stops at the first set of size min(max_k, len(grid)).
     It meets the sets of each size in lexicographic order, so the witness is
     the first shattered set of the largest size.
 
-    Cells are disjoint and nonempty, so a set of size d has 2**d <= upto
-    cells, and the search path holds at most 2 * upto cells of at most upto
-    bits each: upto**2 / 4 bytes.
+    Cells are disjoint and nonempty, so a set of size d has 2**d <= u cells,
+    and the search path holds at most 2 * u cells of at most u bits each:
+    u**2 / 4 bytes, with u <= min(upto, 2**len(grid)).
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     grid = _distinct(grid)
-    cols = [0] * len(grid)
-    for j, member in enumerate(fam.members(upto)):
-        for t, x in enumerate(grid):
-            if x in member:
-                cols[t] |= 1 << j
-    top = min(max_k, len(grid))
+    order, rows = traces(grid, fam.members(upto))
+    rows = list(dict.fromkeys(rows))
+    cols = _columns(order, rows)
+    n, u = len(grid), len(rows)
+    top = min(max_k, n)
     best = ()
 
     def extend(cells: list, idxs: tuple) -> bool:
@@ -111,7 +139,7 @@ def vc_dimension(fam: SetFamily, upto: int, grid, max_k: int) -> VcDimension:
             best = idxs
         if len(best) == top:
             return True
-        for i in range(idxs[-1] + 1 if idxs else 0, len(grid)):
+        for i in range(idxs[-1] + 1 if idxs else 0, n):
             c = cols[i]
             split = []
             for g in cells:
@@ -124,7 +152,7 @@ def vc_dimension(fam: SetFamily, upto: int, grid, max_k: int) -> VcDimension:
                     return True
         return False
 
-    extend([(1 << upto) - 1], ())
+    extend([(1 << u) - 1], ())
     dim = len(best)
     return VcDimension(dim, tuple(grid[i] for i in best), dim == max_k)
 
@@ -188,7 +216,7 @@ def is_shattered(points, sets) -> bool:
 
     A point set with a repeat is simply not shattered.
     """
-    return len(set(_rows(points, sets))) == 1 << len(points)
+    return len(set(traces(points, sets)[1])) == 1 << len(points)
 
 
 def full_join_witness(jp: JoinPartition) -> tuple[Fraction, ...]:

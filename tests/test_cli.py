@@ -702,6 +702,57 @@ def _no_path(*args, **kwargs):
     raise AssertionError("a path was generated")
 
 
+@pytest.mark.parametrize(
+    "doc, pointer",
+    [
+        ({"process": {"kind": "rotation", "params": {"alpha_fixed": "x"}}}, "/process/params/alpha_fixed"),
+        ({"process": {"kind": "rotation", "params": {"x0_fixed": "-5"}}}, "/process/params/x0_fixed"),
+        ({"family": {"name": "trajectory", "alpha_fixed": "x"}}, "/family/alpha_fixed"),
+        ({"family": {"name": "trajectory", "x0_fixed": "1/2"}}, "/family/x0_fixed"),
+    ],
+)
+def test_non_digit_fixed_point_numerator_exits_2(invoke, tmp_path, monkeypatch, doc, pointer):
+    monkeypatch.setattr(cli, "generate", _no_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = invoke(["converge", "--config", str(cfg), "--m-grid", "10"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error at {pointer}: ") and "does not match '^[0-9]+$'" in err
+
+
+@pytest.mark.parametrize(
+    "process, key",
+    [
+        ({"kind": "iid-uniform", "params": {"bogus": 1}}, "bogus"),
+        ({"kind": "doubling", "params": {"x0_fixed": "1"}}, "x0_fixed"),
+        ({"kind": "rotation", "params": {"alpha_fixed": "1", "cells": []}}, "cells"),
+        ({"kind": "markov", "params": {"matrix": [["1"]], "cells": ["[0,1)"], "seed": 1}}, "seed"),
+        ({"params": {"x0_fixed": "1"}}, "x0_fixed"),  # converge's default kind is iid-uniform
+    ],
+)
+def test_process_params_a_kind_does_not_read_exit_2(invoke, tmp_path, monkeypatch, process, key):
+    monkeypatch.setattr(cli, "generate", _no_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"process": process}))
+    code, out, err = invoke(["converge", "--config", str(cfg), "--m-grid", "10"])
+    assert code == 2
+    assert out == ""
+    assert err == f"config error at /process/params: Additional properties are not allowed ('{key}' was unexpected)\n"
+
+
+def test_induced_reads_rotation_params_without_a_kind(invoke, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"process": {"params": {"bogus": "1"}}}))
+    code, out, err = invoke(["induced", "--config", str(cfg), "--count", "10"])
+    assert (code, out) == (2, "")
+    assert "('bogus' was unexpected)" in err
+    cfg.write_text(json.dumps({"process": {"params": {"x0_fixed": str(1 << 127)}}}))
+    code, out, _ = invoke(["induced", "--config", str(cfg), "--count", "10"])
+    assert code == 0
+    assert json.loads(out)["config"]["process"]["params"] == {"x0_fixed": str(1 << 127)}
+
+
 # Each bad argument, with the flag or JSON pointer its message names.
 BAD_ARGUMENTS = {
     "counterexample --window 0": "--window",

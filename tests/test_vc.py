@@ -25,8 +25,9 @@ from ergodic_vc import (
     vc_dimension,
 )
 from ergodic_vc.errors import ResourceLimitError
+from ergodic_vc.intervals import traces
 from ergodic_vc.oracles import brute_shatter_coefficient, brute_vc_dimension
-from ergodic_vc.vc import VcDimension
+from ergodic_vc.vc import VcDimension, _columns
 
 F = Fraction
 
@@ -143,6 +144,59 @@ def test_cell_search_matches_the_row_search(point_cells, members, dups, budget):
     upto = min(budget, fam.size)
     for max_k in range(1, len(pts) + 2):
         assert vc_dimension(fam, upto, pts, max_k) == _reference_vc_dimension(fam, upto, pts, max_k)
+
+
+# Union ends on sevenths, thirds and 1/32ths; grid points on the same cuts
+# (so they fall exactly on ends), on odd 1/128ths (so they can be AtomSet
+# atoms at precision 7) and outside [0, 1).
+TRACE_CUTS = sorted({F(j, 7) for j in range(8)} | {F(j, 3) for j in range(4)} | {F(j, 32) for j in range(33)})
+TRACE_POINTS = TRACE_CUTS[:-1] + [F(2 * j + 1, 128) for j in range(0, 64, 5)] + [F(-1, 3), F(1), F(9, 7)]
+
+_TRACE_MEMBER = st.one_of(
+    st.lists(st.tuples(st.sampled_from(TRACE_CUTS), st.sampled_from(TRACE_CUTS)), max_size=8).map(
+        lambda pairs: normalize(sorted(pair) for pair in pairs)
+    ),
+    st.lists(st.integers(0, 127), max_size=4).map(lambda atoms: AtomSet(atoms, 7)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(TRACE_POINTS), max_size=12),
+    st.lists(_TRACE_MEMBER, max_size=8),
+    st.lists(st.integers(0, 7), max_size=3),
+)
+@example(  # one union with more ends than points, one with fewer, points on ends
+    points=[F(2, 3), F(1, 7), F(1, 3)],
+    members=[iu("[0,1/7) u [2/7,3/7) u [4/7,5/7)"), iu("[1/3,2/3)"), iu("")],
+    dups=[1],
+)
+def test_trace_rows_and_columns_match_membership(points, members, dups):
+    """The reader's rows and the search's columns equal the ``x in member`` loop."""
+    members = members + [members[d % len(members)] for d in dups if members]
+    inside = [[x in member for x in points] for member in members]
+    order, rows = traces(points, members)
+    assert [points[i] for i in order] == sorted(points)
+    assert rows == [sum(1 << s for s, i in enumerate(order) if hits[i]) for hits in inside]
+    assert _columns(order, rows) == [
+        sum(1 << j for j, hits in enumerate(inside) if hits[t]) for t in range(len(points))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(TRACE_POINTS), max_size=8, unique=True),
+    st.lists(_TRACE_MEMBER, max_size=10),
+    st.integers(0, 10),
+)
+def test_search_on_unsorted_mixed_grids_matches_the_row_search(points, members, budget):
+    fam = SetFamily.of("mixed", members)
+    upto = min(budget, fam.size)
+    for max_k in range(1, len(points) + 2):
+        assert vc_dimension(fam, upto, points, max_k) == _reference_vc_dimension(fam, upto, points, max_k)
+    if points:
+        rows = {sum(1 << t for t, x in enumerate(points) if x in m) for m in members[:upto]}
+        assert shatter_coefficient(points, fam, upto) == len(rows)
 
 
 def test_dimension_search_tests_each_member_at_each_point_once():
