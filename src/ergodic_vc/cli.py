@@ -41,9 +41,12 @@ from .isomorphism import (
 from .processes import (
     DOMAIN_IID,
     ProcessSpec,
+    doubling_spec,
     fixed_uniform,
     generate,
     golden_alpha_fixed,
+    iid_spec,
+    markov_spec,
     rotation_spec,
     stationary_distribution,
     trajectory_family,
@@ -158,7 +161,9 @@ def _validate_config(config, default_kind: str = "iid-uniform") -> str | None:
     """First violation as 'pointer: message', or None (integer leaves cast in place).
 
     ``process.params`` may hold only the keys its kind reads, the kind being
-    ``default_kind`` when the config names none.
+    ``default_kind`` when the config names none, and the process is built
+    once here, so a spec its constructor refuses (a Markov chain without a
+    unique stationary law, a rotation by a whole turn) exits 2 too.
     """
     try:
         _checked(config, CONFIG_SCHEMA)
@@ -172,11 +177,13 @@ def _validate_config(config, default_kind: str = "iid-uniform") -> str | None:
     family = _family_params(config)
     if family["name"] == "run-pattern" and family["order"] > 4:
         return "/family/order: run-pattern grids hold 2**order <= 20 points, so order <= 4"
-    if config.get("process", {}).get("kind") == "markov":
-        try:
-            stationary_distribution(_process_spec(config).params["matrix"])
-        except (ValueError, TypeError, ArithmeticError) as e:
-            return f"/process/params: {e}"
+    kind = config.get("process", {}).get("kind", default_kind)
+    try:
+        spec = _process_spec(config, default_kind)
+        if kind == "markov":
+            stationary_distribution(spec.params["matrix"])
+    except (ValueError, TypeError, ArithmeticError) as e:
+        return f"/process/params{'/alpha_fixed' if kind == 'rotation' else ''}: {e}"
     return None
 
 
@@ -226,16 +233,21 @@ def _seed_precision(config) -> tuple[int, int]:
     return config.get("process", {}).get("seed", 0), config.get("precision", 128)
 
 
-def _process_spec(config) -> ProcessSpec:
+def _process_spec(config, default_kind: str = "iid-uniform") -> ProcessSpec:
+    """The checked ``process`` section's spec, built by its kind's constructor."""
     section = config.get("process", {})
-    kind = section.get("kind", "iid-uniform")
+    kind = section.get("kind", default_kind)
     params = section.get("params", {})
-    if kind == "markov" and not ("matrix" in params and "cells" in params):
-        raise ValueError("markov process needs params.matrix and params.cells in the config")
     seed, precision = _seed_precision(config)
-    return ProcessSpec.from_json(
-        {"kind": kind, "seed": seed, "precision": precision, "params": params}
-    )
+    if kind == "rotation":
+        alpha = params.get("alpha_fixed")
+        alpha = None if alpha is None else int(alpha)
+        return rotation_spec(seed, alpha, int(params.get("x0_fixed", 0)), precision)
+    if kind == "markov":
+        if not ("matrix" in params and "cells" in params):
+            raise ValueError("markov process needs params.matrix and params.cells in the config")
+        return markov_spec(params["matrix"], params["cells"], seed, precision)
+    return (iid_spec if kind == "iid-uniform" else doubling_spec)(seed, precision)
 
 
 def _emit(text: str, config) -> None:

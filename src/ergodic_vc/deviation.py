@@ -13,12 +13,15 @@ denominator m * 2**precision, so results are independent of evaluation
 order and reproduce byte-for-byte across worker counts.
 
 Both suprema run on integers and build one ``Fraction`` per result. A
-family is scored from compiled rows (thresholds, measure numerator, measure
-denominator), cached on the ``SetFamily``: per prefix each distinct
-threshold is bisected once, a member's count is the alternating sum of its
-thresholds' ranks, and members are compared by cross-multiplication. A
-seeded trace compiles its family's rows once, in the parent, and every
-seed's job carries the process spec itself and those rows.
+family is scored from its ``ScoringTable``, cached on the ``SetFamily`` per
+precision: the table lists each distinct threshold once, and each member
+as index pairs (a, b), one per part [thresholds[a], thresholds[b]), with
+its measure's numerator and denominator. Per prefix every threshold is
+ranked in one pass, a member's count is the sum of ranks[b] - ranks[a]
+over its pairs, and members are compared by cross-multiplication. A seeded
+trace compiles its family's table once, in the parent, and every seed's
+job carries the process spec itself and the table's head for the budget,
+so each distinct threshold is pickled once.
 
 The k-interval DP makes one pass over the blocks B_t = atom_t + gap_t
 between 0, the prefix's distinct points and 1 (an atom counts the points
@@ -35,11 +38,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from statistics import median
 
 from .errors import ResourceLimitError
-from .intervals import IntervalUnion, SetFamily, count_in
+from .intervals import IntervalUnion, ScoringTable, SetFamily, count_in
 from .processes import ProcessSpec, SamplePath, generate
 from .vc import JoinPartition
 
@@ -59,31 +62,23 @@ def discrepancy(member, path: SamplePath, m: int) -> Fraction:
     return abs(Fraction(hits, m) - member.measure)
 
 
-def _sup_deviation(rows, sorted_fixed) -> tuple[Fraction, int | None]:
-    """Largest |frequency - num/den| over rows (thresholds, num, den), first argmax.
+def _sup_deviation(table: ScoringTable, sorted_fixed, upto: int) -> tuple[Fraction, int | None]:
+    """Largest |frequency - num/den| over the table's first ``upto`` members, first argmax.
 
-    A row's count over the ascending prefix ``sorted_fixed`` is the
-    alternating sum -r_0 + r_1 - r_2 + ... of its thresholds' ranks
-    (``bisect_left``), each distinct threshold bisected once. With m points
-    the value is |count * den - num * m| / (m * den), compared across rows
-    by cross-multiplication. Ties keep the lowest index; no rows give
+    Each threshold those members use is ranked (``bisect_left``) in the
+    ascending prefix ``sorted_fixed`` once, and a member's count is the sum
+    of ranks[b] - ranks[a] over its index pairs. With m points the value is
+    |count * den - num * m| / (m * den), compared across members by
+    cross-multiplication. Ties keep the lowest index; no members give
     (0, None).
     """
     m = len(sorted_fixed)
-    ranks: dict[int, int] = {}
-    get = ranks.get
+    ranks = list(map(bisect_left, repeat(sorted_fixed), islice(table.thresholds, table.seen[upto])))
     best, best_den, argmax = 0, 1, None
-    for i, (thresholds, num, den) in enumerate(rows):
-        hits, odd = 0, False
-        for t in thresholds:
-            r = get(t)
-            if r is None:
-                r = ranks[t] = bisect_left(sorted_fixed, t)
-            if odd:
-                hits += r
-            else:
-                hits -= r
-            odd = not odd
+    for i, (pairs, num, den) in enumerate(islice(table.members, upto)):
+        hits = 0
+        for a, b in pairs:
+            hits += ranks[b] - ranks[a]
         gap = abs(hits * den - num * m)
         if gap * best_den > best * den or argmax is None:
             best, best_den, argmax = gap, den, i
@@ -92,8 +87,8 @@ def _sup_deviation(rows, sorted_fixed) -> tuple[Fraction, int | None]:
 
 def uniform_deviation(fam: SetFamily, upto: int, path: SamplePath, m: int) -> DeviationResult:
     """Largest member deviation within the budget (first index on ties)."""
-    rows = fam.rows(upto, path.precision)
-    best, argmax = _sup_deviation(islice(rows, upto), path.sorted_fixed(m))
+    table = fam.rows(upto, path.precision)
+    best, argmax = _sup_deviation(table, path.sorted_fixed(m), upto)
     return DeviationResult(best, argmax, upto)
 
 
@@ -294,9 +289,10 @@ class TraceBundle:
 
 
 def _trace_one(args) -> DeviationTrace:
-    spec, rows, m_grid, seed = args
+    spec, table, m_grid, seed = args
     path = generate(spec.with_seed(seed), m_grid[-1])
-    values, argmax = zip(*(_sup_deviation(rows, path.sorted_fixed(m)) for m in m_grid))
+    upto = len(table.members)
+    values, argmax = zip(*(_sup_deviation(table, path.sorted_fixed(m), upto) for m in m_grid))
     return DeviationTrace(seed, m_grid, values, argmax)
 
 
@@ -321,14 +317,14 @@ def deviation_trace(
 ) -> TraceBundle:
     """Per-seed uniform-deviation traces over an ascending m grid.
 
-    The first ``upto`` members are compiled to integer rows once, at the
-    spec's precision, and each job carries the spec and the rows (both
+    The first ``upto`` members are compiled to one ``ScoringTable``, at the
+    spec's precision, and each job carries the spec and that table (both
     pickle; a family's member closures may not). Results are ordered by the
     seed list regardless of worker count, and medians are exact rationals.
     An empty seed list, or an m grid that is empty, not strictly ascending
     or below 1, raises ValueError before any job starts, and so does a
     budget beyond the family or a precision the family's members cannot be
-    compiled at. A worker count below 1 raises it before the rows compile.
+    compiled at. A worker count below 1 raises it before the table compiles.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -336,8 +332,8 @@ def deviation_trace(
     ascending = all(a < b for a, b in zip(m_grid, m_grid[1:]))
     if not (seeds and m_grid and m_grid[0] >= 1 and ascending):
         raise ValueError("need seeds, and an m grid that is nonempty, strictly ascending and >= 1")
-    rows = fam.rows(upto, spec.precision)[:upto]
-    jobs = [(spec, rows, m_grid, seed) for seed in seeds]
+    table = fam.rows(upto, spec.precision).head(upto)
+    jobs = [(spec, table, m_grid, seed) for seed in seeds]
     traces = fan_out(_trace_one, jobs, workers)
     medians = tuple(
         median([t.values[i] for t in traces]) for i in range(len(m_grid))

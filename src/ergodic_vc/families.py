@@ -20,16 +20,14 @@ def dyadic_class(max_order: int) -> SetFamily:
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    sizes = [1 << o for o in range(1, max_order + 1)]
 
     def member(i: int) -> IntervalUnion:
-        for o, s in enumerate(sizes, start=1):
-            if i < s:
-                return IntervalUnion.from_ends(1 << o, (i, i + 1))
-            i -= s
-        raise IndexError(i)
+        # Orders before o hold 2 + 4 + .. + 2**(o-1) = 2**o - 2 members.
+        order = (i + 2).bit_length() - 1
+        j = i + 2 - (1 << order)
+        return IntervalUnion.from_ends(1 << order, (j, j + 1))
 
-    return SetFamily(f"dyadic({max_order})", member, sum(sizes))
+    return SetFamily(f"dyadic({max_order})", member, (2 << max_order) - 2)
 
 
 def half_interval_class() -> SetFamily:
@@ -40,11 +38,9 @@ def half_interval_class() -> SetFamily:
     """
 
     def member(i: int) -> IntervalUnion:
-        order = 1
-        while i >= (1 << (order - 1)):
-            i -= 1 << (order - 1)
-            order += 1
-        return IntervalUnion.from_ends(1 << order, (0, 2 * i + 1))
+        # Orders before o hold 1 + 2 + .. + 2**(o-2) = 2**(o-1) - 1 members.
+        order = (i + 1).bit_length()
+        return IntervalUnion.from_ends(1 << order, (0, 2 * (i + 1 - (1 << (order - 1))) + 1))
 
     return SetFamily("half-intervals", member, None)
 

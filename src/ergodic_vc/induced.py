@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .errors import InsufficientDataError
 from .deviation import DeviationResult, _sup_deviation
-from .intervals import IntervalUnion, SetFamily, count_in, scoring_row
+from .intervals import IntervalUnion, SetFamily, count_in, scoring_table
 from .processes import AtomSet, SamplePath
 
 
@@ -142,12 +142,10 @@ def induced_uniform_deviation(
         raise InsufficientDataError(f"deviation needs 1 <= m <= {ip.count}", ip.count)
     fam.check_budget(upto)
     mu, precision = ip.region.measure, ip.base.precision
-    # Rows are built per call: the targets are conditional on the region.
-    rows = (
-        scoring_row(c, _intersect_member(c, ip.region).measure / mu, precision)
-        for c in map(fam.member, range(upto))
-    )
-    best, argmax = _sup_deviation(rows, sorted(ip.induced_fixed[:m]))
+    # The table is built per call: the targets are conditional on the region.
+    scored = ((c, _intersect_member(c, ip.region).measure / mu) for c in map(fam.member, range(upto)))
+    table = scoring_table(scored, precision)
+    best, argmax = _sup_deviation(table, sorted(ip.induced_fixed[:m]), upto)
     return DeviationResult(best, argmax, upto)
 
 
@@ -179,8 +177,8 @@ def deviation_transfer_bound(
     induced_dev = induced_uniform_deviation(ip, fam, upto, m).value
     tau = ip.taus[m - 1]
     pieces = (_intersect_member(c, ip.region) for c in map(fam.member, range(upto)))
-    rows = (scoring_row(c, c.measure, ip.base.precision) for c in pieces)
-    base_dev, _ = _sup_deviation(rows, sorted(ip.base.fixed[:tau]))
+    table = scoring_table(((c, c.measure) for c in pieces), ip.base.precision)
+    base_dev, _ = _sup_deviation(table, sorted(ip.base.fixed[:tau]), upto)
     pacing = kac_ratio(ip, m)
     lower = base_dev / ip.region.measure - abs(pacing - 1)
     return TransferBound(induced_dev, base_dev, pacing, lower)

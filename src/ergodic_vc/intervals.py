@@ -21,7 +21,9 @@ and an ascending prefix of fixed-point numerators, and returns the
 alternating sum of the thresholds' ranks in it. Traces are read by ranks
 too: ``traces`` sorts a grid once and, per member, bisects a union's ends
 among the grid's floors over its denominator (or the floors among the
-ends), one bit mask per member.
+ends), one bit mask per member. Families are scored from a ``ScoringTable``,
+which only ``scoring_table`` compiles: each distinct threshold once, and
+each member as index pairs into them.
 
 A small text form is supported for configs and reports::
 
@@ -430,9 +432,48 @@ def iu(text: str) -> IntervalUnion:
 # -- indexed families --------------------------------------------------------
 
 
-def scoring_row(member, target: Fraction, precision: int) -> tuple[list[int], int, int]:
-    """The row a member is scored from: (thresholds, target numerator, target denominator)."""
-    return member.thresholds(precision), target.numerator, target.denominator
+class ScoringTable:
+    """Members compiled for scoring at one precision: thresholds, index pairs, targets.
+
+    ``thresholds`` lists each distinct threshold once, in first-seen order.
+    ``members[i]`` is (pairs, num, den): member i holds the points n with
+    thresholds[a] <= n < thresholds[b] for each (a, b) in ``pairs``, and is
+    scored against the target num / den. The thresholds of members[:i] are
+    thresholds[:seen[i]], since a member adds only the ones not seen before.
+    Only ``scoring_table`` compiles a table.
+    """
+
+    __slots__ = ("thresholds", "members", "seen")
+
+    def __init__(self, thresholds=(), members=(), seen=(0,)):
+        self.thresholds, self.members, self.seen = list(thresholds), list(members), list(seen)
+
+    def head(self, upto: int) -> "ScoringTable":
+        """The first ``upto`` members with just the thresholds they use."""
+        return ScoringTable(self.thresholds[: self.seen[upto]], self.members[:upto], self.seen[: upto + 1])
+
+
+def scoring_table(scored: Iterable[tuple[object, Fraction]], precision: int, table=None) -> ScoringTable:
+    """The compiler: ``table`` (a new one by default) grown by one entry per (member, target).
+
+    A member's ``thresholds`` at the given precision go in as indices, its
+    pairs read off consecutive thresholds, so a point lies in the member
+    exactly when an odd number of its thresholds are <= it.
+    """
+    table = ScoringTable() if table is None else table
+    thresholds, members, seen = table.thresholds, table.members, table.seen
+    index = {t: a for a, t in enumerate(thresholds)}
+    for member, target in scored:
+        ids = []
+        for t in member.thresholds(precision):
+            a = index.get(t)
+            if a is None:
+                a = index[t] = len(thresholds)
+                thresholds.append(t)
+            ids.append(a)
+        members.append((tuple(zip(ids[::2], ids[1::2])), target.numerator, target.denominator))
+        seen.append(len(thresholds))
+    return table
 
 
 class SetFamily:
@@ -440,8 +481,9 @@ class SetFamily:
 
     ``member(i)`` must be a pure function of ``i``; results are cached.
     ``size`` is the number of members, or None for countable families that
-    any finite budget may truncate. The compiled scoring rows of ``rows``
-    are cached next to the members, so they live as long as the family.
+    any finite budget may truncate. The ``ScoringTable`` of ``rows`` is
+    cached next to the members, one per precision, so it lives as long as
+    the family.
     """
 
     def __init__(self, name: str, member_fn: Callable[[int], object], size: int | None):
@@ -449,7 +491,7 @@ class SetFamily:
         self._member_fn = member_fn
         self.size = size
         self._cache: dict[int, object] = {}
-        self._rows: dict[int, list[tuple[list[int], int, int]]] = {}
+        self._tables: dict[int, ScoringTable] = {}
 
     @classmethod
     def of(cls, name: str, members) -> "SetFamily":
@@ -470,19 +512,19 @@ class SetFamily:
         for i in range(upto):
             yield self.member(i)
 
-    def rows(self, upto: int, precision: int) -> list[tuple[list[int], int, int]]:
-        """Scoring rows (thresholds, measure numerator, measure denominator).
+    def rows(self, upto: int, precision: int) -> ScoringTable:
+        """The members compiled at the given precision, each scored against its measure.
 
-        Row i compiles member i at the given precision: its ``thresholds``
-        and its measure. The list is kept per precision and grown to the
-        largest budget asked, so it may hold more than ``upto`` rows.
+        The table is kept per precision and grown to the largest budget
+        asked, so it may hold more than ``upto`` members; ``head`` cuts it.
         """
         self.check_budget(upto)
-        rows = self._rows.setdefault(precision, [])
-        for i in range(len(rows), upto):
-            c = self.member(i)
-            rows.append(scoring_row(c, c.measure, precision))
-        return rows
+        table = self._tables.setdefault(precision, ScoringTable())
+        start = len(table.members)
+        if upto > start:
+            scored = ((c, c.measure) for c in map(self.member, range(start, upto)))
+            scoring_table(scored, precision, table)
+        return table
 
     def check_budget(self, upto: int) -> None:
         if upto < 0:

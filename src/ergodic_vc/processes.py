@@ -137,32 +137,12 @@ class ProcessSpec:
             raise ValueError(f"unknown process kind {self.kind!r}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        if self.kind == "rotation" and self.params["alpha_fixed"] % (1 << self.precision) == 0:
+            # A whole turn leaves every point at x0: a constant path, not a rotation.
+            raise ValueError(f"rotation alpha_fixed {self.params['alpha_fixed']} is 0 mod 2**{self.precision}")
 
     def with_seed(self, seed: int) -> "ProcessSpec":
         return ProcessSpec(self.kind, self.params, seed, self.precision)
-
-    @staticmethod
-    def from_json(obj: dict) -> "ProcessSpec":
-        """Rebuild a spec through its kind's validating constructor."""
-        kind = obj["kind"]
-        params = obj.get("params", {})
-        seed = int(obj["seed"])
-        precision = int(obj.get("precision", 128))
-        if kind == "iid-uniform":
-            return iid_spec(seed, precision)
-        if kind == "rotation":
-            alpha = params.get("alpha_fixed")
-            return rotation_spec(
-                seed,
-                None if alpha is None else int(alpha),
-                int(params.get("x0_fixed", 0)),
-                precision,
-            )
-        if kind == "doubling":
-            return doubling_spec(seed, precision)
-        if kind == "markov":
-            return markov_spec(params["matrix"], params["cells"], seed, precision)
-        raise ValueError(f"unknown process kind {kind!r}")
 
 
 def iid_spec(seed: int, precision: int = 128) -> ProcessSpec:

@@ -753,6 +753,30 @@ def test_induced_reads_rotation_params_without_a_kind(invoke, tmp_path):
     assert json.loads(out)["config"]["process"]["params"] == {"x0_fixed": str(1 << 127)}
 
 
+@pytest.mark.parametrize("alpha", ["0", str(1 << 128), str(3 << 128)])
+@pytest.mark.parametrize("command", ["converge --m-grid 10", "induced --count 10"])
+def test_rotation_by_a_whole_turn_exits_2(invoke, tmp_path, monkeypatch, alpha, command):
+    """A rotation angle of 0 mod 2**precision gives a constant path: refused
+    before any path, with or without a kind (induced's default is rotation)."""
+    monkeypatch.setattr(cli, "generate", _no_path)
+    cfg = tmp_path / "run.json"
+    process = {"params": {"alpha_fixed": alpha}}
+    if command.startswith("converge"):
+        process["kind"] = "rotation"
+    cfg.write_text(json.dumps({"process": process}))
+    code, out, err = invoke([*command.split(), "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error at /process/params/alpha_fixed: ") and "0 mod 2**128" in err
+
+
+def test_rotation_whole_turn_follows_the_run_precision(invoke, tmp_path):
+    """2**128 is a whole turn at precision 128 but a half turn at 129."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"process": {"kind": "rotation", "params": {"alpha_fixed": str(1 << 128)}}, "precision": 129}))
+    code, out, _ = invoke(["converge", "--config", str(cfg), "--m-grid", "10"])
+    assert code == 0 and out.startswith(CSV_HEADER)
+
+
 # Each bad argument, with the flag or JSON pointer its message names.
 BAD_ARGUMENTS = {
     "counterexample --window 0": "--window",

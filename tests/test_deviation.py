@@ -2,6 +2,7 @@
 
 import json
 import os
+from bisect import bisect_left
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ import ergodic_vc
 from ergodic_vc import (
     AtomSet,
     InsufficientDataError,
+    IntervalUnion,
     ResourceLimitError,
     SamplePath,
     SetFamily,
@@ -37,7 +39,7 @@ from ergodic_vc import (
     trajectory_family,
     uniform_deviation,
 )
-from ergodic_vc.deviation import fan_out
+from ergodic_vc.deviation import _sup_deviation, fan_out
 from ergodic_vc.families import half_interval_class as _half
 from ergodic_vc.intervals import count_in
 from ergodic_vc.oracles import brute_k_interval_sup
@@ -112,6 +114,75 @@ def test_row_cache_grows_to_the_largest_budget_and_serves_smaller_ones():
         res = uniform_deviation(fam, upto, path, 500)
         assert res.budget == upto
         assert (res.value, res.argmax) == _fresh_dyadic6(upto, path, 500)
+
+
+def _reference_sup_deviation(members, sorted_fixed, precision):
+    """The per-threshold dict loop that scored members before the table:
+    (value, first argmax) over rows (thresholds, measure num, measure den)."""
+    rows = [(c.thresholds(precision), c.measure.numerator, c.measure.denominator) for c in members]
+    m = len(sorted_fixed)
+    ranks = {}
+    best, best_den, argmax = 0, 1, None
+    for i, (thresholds, num, den) in enumerate(rows):
+        hits, odd = 0, False
+        for t in thresholds:
+            r = ranks.get(t)
+            if r is None:
+                r = ranks[t] = bisect_left(sorted_fixed, t)
+            hits += r if odd else -r
+            odd = not odd
+        gap = abs(hits * den - num * m)
+        if gap * best_den > best * den or argmax is None:
+            best, best_den, argmax = gap, den, i
+    return F(best, m * best_den), argmax
+
+
+KERNEL_PRECISION = 64
+
+
+@st.composite
+def scored_family_and_path(draw):
+    """Mixed IntervalUnion/AtomSet members (repeated, empty and tied ones)
+    and a path whose points repeat and sit on and next to the thresholds."""
+    scale = 1 << KERNEL_PRECISION
+    unions = []
+    for _ in range(draw(st.integers(1, 4))):
+        den = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+        ends = sorted(draw(st.sets(st.integers(0, den), max_size=6)))
+        unions.append(IntervalUnion.from_ends(den, ends[: len(ends) // 2 * 2]))
+    near = sorted({n for u in unions for t in u.thresholds(KERNEL_PRECISION) for n in (t - 1, t) if 0 <= n < scale})
+    pool = st.one_of(st.sampled_from(near), st.integers(0, scale - 1)) if near else st.integers(0, scale - 1)
+    base = unions + [
+        AtomSet(draw(st.lists(pool, max_size=4)), KERNEL_PRECISION) for _ in range(draw(st.integers(0, 2)))
+    ]
+    members = [draw(st.sampled_from(base)) for _ in range(draw(st.integers(0, 10)))]
+    atoms = [n for c in base if isinstance(c, AtomSet) for n in c.fixed]
+    points = draw(st.lists(st.one_of(pool, st.sampled_from(atoms)) if atoms else pool, min_size=1, max_size=30))
+    path = SamplePath(iid_spec(0, KERNEL_PRECISION), KERNEL_PRECISION, tuple(points))
+    budgets = draw(st.lists(st.integers(0, len(members)), min_size=1, max_size=4))
+    return members, path, draw(st.integers(1, len(points))), budgets
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_family_and_path())
+@example((
+    [iu("[0,1/3) u [1/2,2/3)"), iu("[0,1/3) u [1/2,2/3)"), iu(""), AtomSet([], 64), iu("[1/3,1/2)")],
+    SamplePath(iid_spec(0, 64), 64, (0, 0, (1 << 64) // 2, (1 << 64) // 3 + 1)),
+    4,
+    [5, 1],
+))
+def test_scoring_table_matches_the_dict_loop(case):
+    """Every budget, asked in any order and then 0..size on the grown table
+    and on its heads, scores as the reference loop: equal (value, argmax)."""
+    members, path, m, budgets = case
+    fam = SetFamily.of("mixed", members)
+    prefix = path.sorted_fixed(m)
+    for upto in budgets + list(range(len(members) + 1)):
+        expected = _reference_sup_deviation(members[:upto], prefix, KERNEL_PRECISION)
+        res = uniform_deviation(fam, upto, path, m)
+        assert (res.value, res.argmax) == expected
+        table = fam.rows(len(members), KERNEL_PRECISION)
+        assert _sup_deviation(table.head(upto), prefix, upto) == expected
 
 
 def test_atom_thresholds_count_like_membership():

@@ -1,5 +1,6 @@
 """Exact interval-union algebra: normalization, measure, DSL round trips."""
 
+import ast
 import re
 from fractions import Fraction
 from math import gcd
@@ -14,6 +15,8 @@ from ergodic_vc import (
     ParseError,
     SamplePath,
     SetFamily,
+    dyadic_class,
+    half_interval_class,
     iid_spec,
     induce,
     iu,
@@ -224,6 +227,75 @@ def test_only_intervals_reads_the_integer_format():
     src = Path(__file__).resolve().parents[1] / "src" / "ergodic_vc"
     readers = {f.name for f in src.glob("*.py") if re.search(r"\.(den|ends)\b", f.read_text())}
     assert readers == {"intervals.py"}
+
+
+def test_only_intervals_compiles_tables_and_one_loop_scores_them():
+    """A ScoringTable is built only in intervals (``scoring_table``, and
+    ``head`` cutting one), and only deviation._sup_deviation loops over a
+    table's members: one member-scoring loop."""
+    src = Path(__file__).resolve().parents[1] / "src" / "ergodic_vc"
+    builders = {
+        f.name for f in src.glob("*.py") if re.search(r"\bScoringTable\(|\.members\.(append|extend)\b", f.read_text())
+    }
+    assert builders == {"intervals.py"}
+
+    class Loops(ast.NodeVisitor):
+        """Qualified names of the functions that loop over some ``x.members``."""
+
+        def __init__(self, module):
+            self.scope, self.found = [module], set()
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def _loop(self, node):
+            called = {id(n.func) for n in ast.walk(node.iter) if isinstance(n, ast.Call)}
+            if any(
+                isinstance(n, ast.Attribute) and n.attr == "members" and id(n) not in called
+                for n in ast.walk(node.iter)
+            ):
+                self.found.add(".".join(self.scope))
+            self.generic_visit(node)
+
+        visit_For = visit_comprehension = _loop
+
+    loops = set()
+    for f in src.glob("*.py"):
+        visitor = Loops(f.stem)
+        visitor.visit(ast.parse(f.read_text()))
+        loops |= visitor.found
+    assert loops == {"deviation._sup_deviation"}
+
+
+def test_closed_form_unranking_matches_the_enumeration_loops():
+    """half and dyadic members unrank in closed form; pinned against the
+    order-by-order loops they replaced."""
+
+    def half_by_loop(i):
+        order = 1
+        while i >= (1 << (order - 1)):
+            i -= 1 << (order - 1)
+            order += 1
+        return IntervalUnion.from_ends(1 << order, (0, 2 * i + 1))
+
+    def dyadic_by_loop(i, max_order):
+        for o in range(1, max_order + 1):
+            if i < 1 << o:
+                return IntervalUnion.from_ends(1 << o, (i, i + 1))
+            i -= 1 << o
+        raise IndexError(i)
+
+    half = half_interval_class()
+    assert all(half.member(i) == half_by_loop(i) for i in range(10_000))
+    dyadic = dyadic_class(12)
+    assert dyadic.size == 8_190
+    assert all(dyadic.member(i) == dyadic_by_loop(i, 12) for i in range(dyadic.size))
+    with pytest.raises(IndexError):
+        dyadic.member(dyadic.size)
 
 
 def test_count_in_matches_membership():

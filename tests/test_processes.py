@@ -22,6 +22,7 @@ from ergodic_vc import (
     stationary_distribution,
     trajectory_family,
 )
+from ergodic_vc.cli import _process_spec, _validate_config
 from ergodic_vc.intervals import count_in
 from ergodic_vc.processes import (
     DOMAIN_DOUBLING,
@@ -100,18 +101,32 @@ def test_golden_alpha_value():
 
 
 def test_spec_json_round_trip():
-    """Hand-written config dicts, as the CLI passes them, give each kind's spec."""
+    """Hand-written config sections, as the CLI reads them, give each kind's spec."""
     half = ["1/2", "1/2"]
-    for obj, spec in (
-        ({"kind": "iid-uniform", "seed": 3}, iid_spec(3)),
-        ({"kind": "rotation", "seed": 4, "params": {"x0_fixed": 17}}, rotation_spec(seed=4, x0_fixed=17)),
-        ({"kind": "doubling", "seed": 5, "precision": 200}, doubling_spec(5, 200)),
+    for config, spec in (
+        ({"process": {"kind": "iid-uniform", "seed": 3}}, iid_spec(3)),
+        ({"process": {"kind": "rotation", "seed": 4, "params": {"x0_fixed": "17"}}}, rotation_spec(seed=4, x0_fixed=17)),
+        ({"process": {"kind": "doubling", "seed": 5}, "precision": 200}, doubling_spec(5, 200)),
         (
-            {"kind": "markov", "seed": 6, "params": {"matrix": [half, half], "cells": ["[0,1/2)", "[1/2,1)"]}},
+            {"process": {"kind": "markov", "seed": 6, "params": {"matrix": [half, half], "cells": ["[0,1/2)", "[1/2,1)"]}}},
             markov_spec([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], [iu("[0,1/2)"), iu("[1/2,1)")], seed=6),
         ),
     ):
-        assert ProcessSpec.from_json(obj) == spec
+        assert _validate_config(config) is None
+        assert _process_spec(config) == spec
+    assert not hasattr(ProcessSpec, "from_json")
+
+
+@pytest.mark.parametrize("alpha", [0, 1 << 128, -(5 << 128)])
+def test_rotation_by_a_whole_turn_raises(alpha):
+    """alpha = 0 mod 2**precision is a constant path; an even alpha is fine."""
+    with pytest.raises(ValueError, match="0 mod 2"):
+        rotation_spec(0, alpha)
+    with pytest.raises(ValueError, match="0 mod 2"):
+        ProcessSpec("rotation", {"alpha_fixed": alpha, "x0_fixed": 0}, 0)
+    if alpha:
+        assert rotation_spec(0, alpha, precision=129).params["alpha_fixed"] == alpha
+    assert golden_alpha_fixed(128) % 2 == 0 and rotation_spec(0).params["alpha_fixed"] == golden_alpha_fixed(128)
 
 
 def test_spec_precision_floor():
