@@ -161,9 +161,9 @@ def _validate_config(config, default_kind: str = "iid-uniform") -> str | None:
     """First violation as 'pointer: message', or None (integer leaves cast in place).
 
     ``process.params`` may hold only the keys its kind reads, the kind being
-    ``default_kind`` when the config names none, and the process is built
-    once here, so a spec its constructor refuses (a Markov chain without a
-    unique stationary law, a rotation by a whole turn) exits 2 too.
+    ``default_kind`` when the config names none. The process and a trajectory
+    family (an O(1) build) are built once here, so what their constructors
+    refuse (a Markov chain without a unique stationary law, a whole turn) exits 2.
     """
     try:
         _checked(config, CONFIG_SCHEMA)
@@ -177,6 +177,11 @@ def _validate_config(config, default_kind: str = "iid-uniform") -> str | None:
     family = _family_params(config)
     if family["name"] == "run-pattern" and family["order"] > 4:
         return "/family/order: run-pattern grids hold 2**order <= 20 points, so order <= 4"
+    if family["name"] == "trajectory":
+        try:
+            _build_family(family, _seed_precision(config)[1])
+        except ValueError as e:
+            return f"/family/alpha_fixed: {e}"
     kind = config.get("process", {}).get("kind", default_kind)
     try:
         spec = _process_spec(config, default_kind)

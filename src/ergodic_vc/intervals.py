@@ -7,14 +7,14 @@ symmetric differences are computed without any rounding. The half-open
 convention [lo, hi) makes refinements genuine partitions: no point is
 counted twice, and single points carry measure zero.
 
-Every boolean operation, ``normalize`` and ``vc.join`` run one endpoint
-sweep (``segments``): the operands are rescaled to the lcm of their
-denominators, each end becomes a signed step, and walking the steps in
-order gives each segment's membership mask; ``from_sweep`` builds the
-result unchecked, since the sweep already emits ascending ends in range.
-Other modules keep the format behind this one: they read ends only through
-``rescaled`` and build unions only through ``from_ends``, ``from_pairs``
-and, for sweep output, ``from_sweep``.
+Every boolean operation and ``vc.join`` run one endpoint sweep (``segments``):
+operands go to the lcm of their denominators, each end becomes a signed step,
+and the steps summed in order give each segment's membership mask. Raw pairs
+(``from_pairs``, ``normalize``) merge from their sorted lows and highs: a gap
+opens before the i-th low exactly when the (i-1)-th high lies below it. Both
+emit ascending ends in range, which ``from_sweep`` builds unchecked. Other
+modules read ends only through ``rescaled`` and build unions only through
+``from_ends``, ``from_pairs`` and, for sweep output, ``from_sweep``.
 
 Points are counted one way: ``count_in`` takes a member's ``thresholds``
 and an ascending prefix of fixed-point numerators, and returns the
@@ -40,7 +40,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from math import gcd, lcm
+from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -113,7 +115,7 @@ class IntervalUnion:
             raise ValueError(f"need den >= 1 and an even number of ends, got {den}, {len(ends)}")
         if ends and not (0 <= ends[0] and ends[-1] <= den):
             raise ValueError(f"ends outside [0, {den}]")
-        if any(a >= b for a, b in zip(ends, ends[1:])):
+        if not all(map(lt, ends, islice(ends, 1, None))):
             raise ValueError("parts not normalized: ends must be strictly ascending")
         return from_sweep(den, ends)
 
@@ -329,33 +331,35 @@ def rescaled(sets: Sequence[IntervalUnion], den: int = 1) -> tuple[int, list[tup
 
 
 def from_pairs(den: int, pairs: Iterable[tuple[int, int]]) -> IntervalUnion:
-    """Union of raw integer pairs [lo/den, hi/den), by the sweep with weight 1 each.
+    """Union of raw integer pairs [lo/den, hi/den), merged from their sorted lows and highs.
 
-    Overlapping and touching pairs merge and pairs with lo == hi vanish;
-    den below 1 or a pair outside 0 <= lo <= hi <= den raises ValueError.
+    Overlapping and touching pairs merge and pairs with lo == hi vanish; den below 1
+    or a pair outside 0 <= lo <= hi <= den raises ValueError, at the first such pair.
     """
     if den < 1:
         raise ValueError(f"need den >= 1, got {den}")
-    steps: dict[int, int] = {}
+    los, his = [], []
     for a, b in pairs:
         if not 0 <= a <= b <= den:
-            lo, hi = Fraction(a, den), Fraction(b, den)
-            raise ValueError(f"interval [{lo}, {hi}) needs 0 <= lo <= hi <= 1")
-        steps[a] = steps.get(a, 0) + 1
-        steps[b] = steps.get(b, 0) - 1
-    return _kept(den, _walk(den, steps), lambda count: count > 0)
+            raise ValueError(f"interval [{Fraction(a, den)}, {Fraction(b, den)}) needs 0 <= lo <= hi <= 1")
+        if a < b:
+            los.append(a)
+            his.append(b)
+    los.sort()
+    his.sort()
+    ends = los[:1]
+    for i in compress(range(1, len(los)), map(lt, his, islice(los, 1, None))):
+        ends += (his[i - 1], los[i])
+    return from_sweep(den, ends + his[-1:])
 
 
 def normalize(pairs: Iterable[tuple]) -> IntervalUnion:
     """Union of raw rational (lo, hi) pairs: ``from_pairs`` over their common denominator."""
     pairs = list(pairs)
-    den = lcm(*(x.denominator for pair in pairs for x in pair))
+    den = lcm(*{x.denominator for pair in pairs for x in pair})
     # Stream the rescaled pairs: a second list would hold every pair twice.
-    return from_pairs(
-        den,
-        ((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-         for a, b in pairs),
-    )
+    scaled = ((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)) for a, b in pairs)
+    return from_pairs(den, scaled)
 
 
 # -- text form --------------------------------------------------------------

@@ -137,9 +137,13 @@ class ProcessSpec:
             raise ValueError(f"unknown process kind {self.kind!r}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
-        if self.kind == "rotation" and self.params["alpha_fixed"] % (1 << self.precision) == 0:
-            # A whole turn leaves every point at x0: a constant path, not a rotation.
-            raise ValueError(f"rotation alpha_fixed {self.params['alpha_fixed']} is 0 mod 2**{self.precision}")
+        if self.kind == "rotation":
+            alpha, x0 = self.params["alpha_fixed"], self.params["x0_fixed"]
+            if type(alpha) is not int or type(x0) is not int:  # a bool or a float is no numerator
+                raise TypeError(f"rotation numerators must be ints, got alpha_fixed {alpha!r}, x0_fixed {x0!r}")
+            if alpha % (1 << self.precision) == 0:
+                # A whole turn leaves every point at x0: a constant path, not a rotation.
+                raise ValueError(f"rotation alpha_fixed {alpha} is 0 mod 2**{self.precision}")
 
     def with_seed(self, seed: int) -> "ProcessSpec":
         return ProcessSpec(self.kind, self.params, seed, self.precision)
@@ -418,6 +422,8 @@ def trajectory_family(
         raise ValueError("window must be >= 1")
     scale = 1 << precision
     alpha = alpha_fixed % scale
+    if alpha == 0:  # every member would be the one atom {x0}
+        raise ValueError(f"trajectory alpha_fixed {alpha_fixed} is 0 mod 2**{precision}")
     x0 = x0_fixed % scale
 
     def member(j: int) -> AtomSet:

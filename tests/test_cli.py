@@ -769,6 +769,17 @@ def test_rotation_by_a_whole_turn_exits_2(invoke, tmp_path, monkeypatch, alpha, 
     assert err.startswith("config error at /process/params/alpha_fixed: ") and "0 mod 2**128" in err
 
 
+@pytest.mark.parametrize("alpha", ["0", str(1 << 128)])
+@pytest.mark.parametrize("command", ["converge --m-grid 10", "shatter", "vcdim"])
+def test_trajectory_family_by_a_whole_turn_exits_2(invoke, tmp_path, alpha, command):
+    """Every member of an orbit family by a whole turn is the one atom {x0}: refused."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": {"name": "trajectory", "alpha_fixed": alpha}}))
+    code, out, err = invoke([*command.split(), "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error at /family/alpha_fixed: ") and "0 mod 2**128" in err
+
+
 def test_rotation_whole_turn_follows_the_run_precision(invoke, tmp_path):
     """2**128 is a whole turn at precision 128 but a half turn at 129."""
     cfg = tmp_path / "run.json"

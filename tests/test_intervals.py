@@ -2,8 +2,9 @@
 
 import ast
 import re
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from ergodic_vc import (
     join,
     normalize,
 )
-from ergodic_vc.intervals import ceil_fixed, count_in, from_pairs, rescaled
+from ergodic_vc.intervals import _kept, _walk, ceil_fixed, count_in, from_pairs, rescaled
 
 F = Fraction
 
@@ -220,6 +221,102 @@ def test_rescaled_reads_ends_over_one_den_and_from_pairs_rebuilds():
             from_pairs(den, pairs)
     with pytest.raises(ValueError):
         from_pairs(0, [])
+
+
+def _cell_runs(den, pairs):
+    """Reference: mark each unit cell [t, t+1) that some pair covers, then read off the runs."""
+    covered = [False] * den
+    for a, b in pairs:
+        covered[a:b] = [True] * (b - a)
+    ends = [t for t in range(den + 1) if (t < den and covered[t]) != (t > 0 and covered[t - 1])]
+    return IntervalUnion.from_ends(den, ends)
+
+
+def _bad_message(lo, hi):
+    return re.escape(f"interval [{lo}, {hi}) needs 0 <= lo <= hi <= 1")
+
+
+@st.composite
+def int_pairs(draw, den):
+    """Shuffled integer pairs over den: overlapping, touching, duplicate and empty ones."""
+    ends = st.integers(0, den)
+    pairs = [tuple(sorted(p)) for p in draw(st.lists(st.tuples(ends, ends), max_size=8))]
+    chain = sorted(draw(st.lists(ends, max_size=5)))
+    pairs += zip(chain, chain[1:])
+    if draw(st.booleans()):
+        pairs.append((0, den))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return draw(st.permutations(pairs))
+
+
+@given(st.integers(1, 40).flatmap(lambda den: st.tuples(st.just(den), int_pairs(den))))
+def test_from_pairs_matches_the_cell_reference(case):
+    den, pairs = case
+    assert from_pairs(den, iter(pairs)) == _cell_runs(den, pairs)
+
+
+# Denominators whose lcm is 120, so every mix has a common 120-cell grid.
+MIXED_DENS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+@given(
+    st.lists(st.sampled_from(MIXED_DENS), min_size=1, max_size=6).flatmap(
+        lambda dens: st.tuples(*(int_pairs(d).map(lambda ps, d=d: [(F(a, d), F(b, d)) for a, b in ps]) for d in dens))
+    )
+)
+def test_normalize_matches_the_cell_reference_over_mixed_denominators(groups):
+    pairs = [p for group in groups for p in group]
+    expected = _cell_runs(120, [(int(lo * 120), int(hi * 120)) for lo, hi in pairs])
+    assert normalize(pairs) == expected
+    assert normalize(iter(pairs)) == expected
+
+
+@given(
+    st.integers(1, 40).flatmap(lambda den: st.tuples(st.just(den), int_pairs(den))),
+    st.data(),
+)
+def test_a_bad_pair_raises_at_the_first_bad_pair(case, data):
+    den, pairs = case
+    bad = st.sampled_from([(1, 0), (-1, 0), (0, den + 1), (den, den + 2), (-2, den + 1)])
+    first, second = data.draw(bad), data.draw(bad)
+    at = data.draw(st.integers(0, len(pairs)))
+    pairs = pairs[:at] + [first] + pairs[at:] + [second]
+    with pytest.raises(ValueError, match=_bad_message(F(first[0], den), F(first[1], den))):
+        from_pairs(den, pairs)
+    rational = [(F(a, den), F(b, den)) for a, b in pairs]
+    with pytest.raises(ValueError, match=_bad_message(*rational[at])):
+        normalize(rational)
+
+
+def _step_dict_normalize(pairs):
+    """The step-dict sweep that ``from_pairs`` replaced, kept as the memory reference."""
+    pairs = list(pairs)
+    den = lcm(*(x.denominator for pair in pairs for x in pair))
+    steps = {}
+    for a, b in ((a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)) for a, b in pairs):
+        steps[a] = steps.get(a, 0) + 1
+        steps[b] = steps.get(b, 0) - 1
+    return _kept(den, _walk(den, steps), lambda count: count > 0)
+
+
+def _peak(fn, arg):
+    tracemalloc.start()
+    try:
+        return fn(arg), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normalize_peak_memory_stays_within_the_step_dict_sweep():
+    """65,536 touching unit cells, the shape of a full k = 4 join's parts: two
+    sorted int lists must not cost more than the step dict did."""
+    n = 1 << 16
+    cells = [(F(j, n), F(j + 1, n)) for j in range(n)]
+    reference, reference_peak = _peak(_step_dict_normalize, cells)
+    union, peak = _peak(normalize, cells)
+    assert union == reference == IntervalUnion.from_ends(1, (0, 1))
+    assert peak <= reference_peak
 
 
 def test_only_intervals_reads_the_integer_format():

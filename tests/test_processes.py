@@ -1,6 +1,7 @@
 """Seeded fixed-point sample paths and orbit-atom families."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,26 @@ def test_rotation_by_a_whole_turn_raises(alpha):
     if alpha:
         assert rotation_spec(0, alpha, precision=129).params["alpha_fixed"] == alpha
     assert golden_alpha_fixed(128) % 2 == 0 and rotation_spec(0).params["alpha_fixed"] == golden_alpha_fixed(128)
+
+
+@pytest.mark.parametrize("key", ["alpha_fixed", "x0_fixed"])
+@pytest.mark.parametrize("value", [3.5, True, False, "5", F(7, 1)])
+def test_rotation_numerators_must_be_ints(key, value):
+    """A float, a bool or a string numerator is refused, not rounded or read as 1."""
+    params = {"alpha_fixed": golden_alpha_fixed(128), "x0_fixed": 0, key: value}
+    named = re.escape(f"{key} {value!r}")
+    with pytest.raises(TypeError, match=named):
+        ProcessSpec("rotation", params, 0)
+    with pytest.raises(TypeError, match=named):
+        rotation_spec(0, params["alpha_fixed"], params["x0_fixed"])
+
+
+@pytest.mark.parametrize("alpha", [0, 1 << 128, -(3 << 128)])
+def test_trajectory_family_by_a_whole_turn_raises(alpha):
+    with pytest.raises(ValueError, match="0 mod 2"):
+        trajectory_family(alpha, 5, 128)
+    if alpha:
+        assert trajectory_family(alpha, 5, 130).member(0)  # a half or quarter turn at 130 bits
 
 
 def test_spec_precision_floor():
