@@ -7,9 +7,11 @@ identifies the same finite subfamily on every run.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import chain, combinations, islice
 from math import comb
 
-from .intervals import IntervalUnion, SetFamily, normalize
+from .intervals import EMPTY, IntervalUnion, SetFamily, from_sweep, normalize
 
 
 def dyadic_class(max_order: int) -> SetFamily:
@@ -25,7 +27,7 @@ def dyadic_class(max_order: int) -> SetFamily:
         # Orders before o hold 2 + 4 + .. + 2**(o-1) = 2**o - 2 members.
         order = (i + 2).bit_length() - 1
         j = i + 2 - (1 << order)
-        return IntervalUnion.from_ends(1 << order, (j, j + 1))
+        return from_sweep(1 << order, (j, j + 1))
 
     return SetFamily(f"dyadic({max_order})", member, (2 << max_order) - 2)
 
@@ -40,25 +42,9 @@ def half_interval_class() -> SetFamily:
     def member(i: int) -> IntervalUnion:
         # Orders before o hold 1 + 2 + .. + 2**(o-2) = 2**(o-1) - 1 members.
         order = (i + 1).bit_length()
-        return IntervalUnion.from_ends(1 << order, (0, 2 * (i + 1 - (1 << (order - 1))) + 1))
+        return from_sweep(1 << order, (0, 2 * (i + 1 - (1 << (order - 1))) + 1))
 
     return SetFamily("half-intervals", member, None)
-
-
-def _unrank_combination(n: int, k: int, rank: int) -> list[int]:
-    """rank-th k-subset of range(n) in lexicographic order."""
-    out = []
-    x = 0
-    for slot in range(k, 0, -1):
-        while True:
-            block = comb(n - x - 1, slot - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
-    return out
 
 
 def k_interval_class(k: int, order: int) -> SetFamily:
@@ -71,20 +57,20 @@ def k_interval_class(k: int, order: int) -> SetFamily:
     if k < 1:
         raise ValueError("k must be >= 1")
     n_endpoints = (1 << order) + 1
-    counts = [comb(n_endpoints, 2 * t) for t in range(1, k + 1)]
     den = 1 << order
+    # combinations() runs in lexicographic order, so members stream in index
+    # order; the list grows at least twofold whenever a read lies beyond it.
+    built = [EMPTY]
+    ends = chain.from_iterable(combinations(range(n_endpoints), 2 * t) for t in range(1, k + 1))
+    stream = map(partial(from_sweep, den), ends)
 
     def member(i: int) -> IntervalUnion:
-        if i == 0:
-            return IntervalUnion()
-        i -= 1
-        for t, c in enumerate(counts, start=1):
-            if i < c:
-                return IntervalUnion.from_ends(den, _unrank_combination(n_endpoints, 2 * t, i))
-            i -= c
-        raise IndexError(i)
+        if i >= len(built):
+            built.extend(islice(stream, max(i + 1 - len(built), len(built))))
+        return built[i]
 
-    return SetFamily(f"k-intervals({k},order={order})", member, 1 + sum(counts))
+    size = 1 + sum(comb(n_endpoints, 2 * t) for t in range(1, k + 1))
+    return SetFamily(f"k-intervals({k},order={order})", member, size)
 
 
 def subset_indexed_sets(k: int) -> list[IntervalUnion]:
@@ -101,10 +87,7 @@ def subset_indexed_sets(k: int) -> list[IntervalUnion]:
         raise ValueError("subset-indexed construction supports 1 <= k <= 4")
     n_sets = 1 << k
     n_cells = 1 << n_sets
-    return [
-        IntervalUnion.from_ends(n_cells, range(1 << u, n_cells + 1, 1 << u))
-        for u in range(n_sets)
-    ]
+    return [from_sweep(n_cells, range(1 << u, n_cells + 1, 1 << u)) for u in range(n_sets)]
 
 
 def run_pattern_class(k: int, grid) -> SetFamily:
@@ -125,17 +108,13 @@ def run_pattern_class(k: int, grid) -> SetFamily:
         bounds.append((a + b) / 2)
     bounds.append(Fraction(1))
 
-    def runs(mask: int) -> int:
-        r = 0
-        prev = 0
-        for t in range(n):
-            bit = mask >> t & 1
-            if bit and not prev:
-                r += 1
-            prev = bit
-        return r
-
-    masks = [m for m in range(1 << n) if runs(m) <= k]
+    # A mask of t runs is sum((1 << hi) - (1 << lo)) over 2t run boundaries;
+    # sorted, the masks keep the ascending order of a scan over all 2**n.
+    masks = sorted(
+        sum((1 << hi) - (1 << lo) for lo, hi in zip(b[::2], b[1::2]))
+        for t in range(k + 1)
+        for b in combinations(range(n + 1), 2 * t)
+    )
 
     def member(i: int) -> IntervalUnion:
         mask = masks[i]

@@ -14,7 +14,8 @@ and the steps summed in order give each segment's membership mask. Raw pairs
 opens before the i-th low exactly when the (i-1)-th high lies below it. Both
 emit ascending ends in range, which ``from_sweep`` builds unchecked. Other
 modules read ends only through ``rescaled`` and build unions only through
-``from_ends``, ``from_pairs`` and, for sweep output, ``from_sweep``.
+``from_ends``, ``from_pairs`` and, for sweep output and ends a family
+enumerates ascending in range, ``from_sweep``.
 
 Points are counted one way: ``count_in`` takes a member's ``thresholds``
 and an ascending prefix of fixed-point numerators, and returns the
@@ -260,7 +261,8 @@ def from_sweep(den: int, ends: Sequence[int]) -> IntervalUnion:
     """The union of ends a sweep emits: den >= 1, ends strictly ascending in [0, den].
 
     The one reduction by gcd(den, *ends), which equality relies on. The
-    ends are not checked, so only a sweep's own output may come here;
+    ends are not checked, so only a sweep's own output and ends a family
+    enumerates ascending in range may come here;
     ``from_ends`` checks other ends and then reduces them here.
     """
     g = gcd(den, *ends)
@@ -483,18 +485,17 @@ def scoring_table(scored: Iterable[tuple[object, Fraction]], precision: int, tab
 class SetFamily:
     """Deterministic indexed family of measurable subsets of [0, 1).
 
-    ``member(i)`` must be a pure function of ``i``; results are cached.
-    ``size`` is the number of members, or None for countable families that
-    any finite budget may truncate. The ``ScoringTable`` of ``rows`` is
-    cached next to the members, one per precision, so it lives as long as
-    the family.
+    ``member_fn`` must be a pure function of ``i``. Only the
+    ``ScoringTable``s of ``rows`` are cached, one per precision, so they
+    live as long as the family; a family may keep what its own enumeration
+    needs. ``size`` is the number of members, or None for countable families
+    that any finite budget may truncate.
     """
 
     def __init__(self, name: str, member_fn: Callable[[int], object], size: int | None):
         self.name = name
         self._member_fn = member_fn
         self.size = size
-        self._cache: dict[int, object] = {}
         self._tables: dict[int, ScoringTable] = {}
 
     @classmethod
@@ -506,15 +507,12 @@ class SetFamily:
     def member(self, i: int):
         if i < 0 or (self.size is not None and i >= self.size):
             raise IndexError(f"member {i} out of range for family {self.name!r}")
-        if i not in self._cache:
-            self._cache[i] = self._member_fn(i)
-        return self._cache[i]
+        return self._member_fn(i)
 
-    def members(self, upto: int):
-        """Yield members 0..upto-1, validating the budget."""
+    def members(self, upto: int) -> Iterator:
+        """Members 0..upto-1; the budget is checked before this returns."""
         self.check_budget(upto)
-        for i in range(upto):
-            yield self.member(i)
+        return map(self._member_fn, range(upto))
 
     def rows(self, upto: int, precision: int) -> ScoringTable:
         """The members compiled at the given precision, each scored against its measure.
@@ -526,7 +524,7 @@ class SetFamily:
         table = self._tables.setdefault(precision, ScoringTable())
         start = len(table.members)
         if upto > start:
-            scored = ((c, c.measure) for c in map(self.member, range(start, upto)))
+            scored = ((c, c.measure) for c in map(self._member_fn, range(start, upto)))
             scoring_table(scored, precision, table)
         return table
 

@@ -1,10 +1,12 @@
 """Exact interval-union algebra: normalization, measure, DSL round trips."""
 
 import ast
+import random
 import re
 import tracemalloc
+from collections import deque
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,10 @@ from ergodic_vc import (
     induce,
     iu,
     join,
+    k_interval_class,
     normalize,
+    run_pattern_class,
+    subset_indexed_sets,
 )
 from ergodic_vc.intervals import _kept, _walk, ceil_fixed, count_in, from_pairs, rescaled
 
@@ -369,8 +374,11 @@ def test_only_intervals_compiles_tables_and_one_loop_scores_them():
 
 
 def test_closed_form_unranking_matches_the_enumeration_loops():
-    """half and dyadic members unrank in closed form; pinned against the
-    order-by-order loops they replaced."""
+    """Every family's member sequence, pinned against the enumerations it
+    replaced: the order-by-order loops of half and dyadic, the rank-by-rank
+    unranking of k-intervals (in order and in a shuffled first-read order)
+    and the 2**n scan of run patterns. Each reference builds through the
+    checked from_ends, so the unchecked builds must reduce the same way."""
 
     def half_by_loop(i):
         order = 1
@@ -386,6 +394,45 @@ def test_closed_form_unranking_matches_the_enumeration_loops():
             i -= 1 << o
         raise IndexError(i)
 
+    def unrank_combination(n, k, rank):
+        """rank-th k-subset of range(n) in lexicographic order."""
+        out = []
+        x = 0
+        for slot in range(k, 0, -1):
+            while True:
+                block = comb(n - x - 1, slot - 1)
+                if rank < block:
+                    break
+                rank -= block
+                x += 1
+            out.append(x)
+            x += 1
+        return out
+
+    def k_intervals_by_unranking(k, order, i):
+        n_endpoints = (1 << order) + 1
+        if i == 0:
+            return IntervalUnion()
+        i -= 1
+        for t in range(1, k + 1):
+            if i < comb(n_endpoints, 2 * t):
+                return IntervalUnion.from_ends(1 << order, unrank_combination(n_endpoints, 2 * t, i))
+            i -= comb(n_endpoints, 2 * t)
+        raise IndexError(i)
+
+    def masks_by_scan(k, n):
+        def runs(mask):
+            r = 0
+            prev = 0
+            for t in range(n):
+                bit = mask >> t & 1
+                if bit and not prev:
+                    r += 1
+                prev = bit
+            return r
+
+        return [m for m in range(1 << n) if runs(m) <= k]
+
     half = half_interval_class()
     assert all(half.member(i) == half_by_loop(i) for i in range(10_000))
     dyadic = dyadic_class(12)
@@ -393,6 +440,29 @@ def test_closed_form_unranking_matches_the_enumeration_loops():
     assert all(dyadic.member(i) == dyadic_by_loop(i, 12) for i in range(dyadic.size))
     with pytest.raises(IndexError):
         dyadic.member(dyadic.size)
+    for k in (1, 2, 3, 4):
+        n_cells = 1 << (1 << k)
+        expected = [IntervalUnion.from_ends(n_cells, range(1 << u, n_cells + 1, 1 << u)) for u in range(1 << k)]
+        assert subset_indexed_sets(k) == expected
+
+    rng = random.Random(0)
+    for k in (1, 2, 3):
+        for order in (1, 2, 3, 4):
+            fam = k_interval_class(k, order)
+            in_order = list(fam.members(fam.size))
+            assert in_order == [k_intervals_by_unranking(k, order, i) for i in range(fam.size)]
+            shuffled = rng.sample(range(fam.size), fam.size)
+            fresh = k_interval_class(k, order)
+            assert [fresh.member(i) for i in shuffled] == [in_order[i] for i in shuffled]
+    reduced = k_interval_class(1, 3).member(2)
+    assert reduced == IntervalUnion.from_ends(8, (0, 2)) == iu("[0,1/4)")
+    assert (reduced.den, reduced.ends) == (4, (0, 1))
+
+    for k, n in [*((k, n) for n in range(1, 13) for k in (0, 1, 2, 3)), (2, 16)]:
+        grid = [F(2 * j + 1, 2 * n) for j in range(n)]
+        fam = run_pattern_class(k, grid)
+        traces = [sum(1 << t for t, x in enumerate(grid) if x in m) for m in fam.members(fam.size)]
+        assert traces == masks_by_scan(k, n)
 
 
 def test_count_in_matches_membership():
@@ -434,6 +504,23 @@ def test_set_family_budget_guard():
     fam.check_budget(3)
     with pytest.raises(ValueError):
         fam.check_budget(4)
+
+
+def test_members_refuses_a_bad_budget_when_called():
+    """The budget is checked by the call itself, before anything iterates."""
+    with pytest.raises(ValueError, match="exceeds family"):
+        dyadic_class(3).members(15)
+    with pytest.raises(ValueError, match="nonnegative"):
+        half_interval_class().members(-1)
+
+
+def test_members_holds_no_member_it_has_yielded():
+    """A countable family streamed through members() keeps nothing behind:
+    100,000 half-intervals, each dropped once read, trace a peak far below
+    the ~25 MB that keeping every member costs."""
+    half = half_interval_class()
+    _, peak = _peak(lambda fam: deque(fam.members(100_000), maxlen=0), half)
+    assert peak < 1 << 20
 
 
 def test_set_family_of_lists_members_in_order():
