@@ -3,14 +3,19 @@
 Each run merges one config: a flag beats ERGODIC_VC_WORKERS (the ``workers``
 key), which beats the JSON config file, which beats the built-in default.
 Each argument is declared once, in one table. Before any work starts the
-merged config, then the subcommand's own arguments, pass one schema walk, so
-a bad flag, config key or environment value exits 2 with empty stdout and
+merged config, then the subcommand's own arguments, pass one schema walk and
+the rules over several values; only then are the run's process spec and, for
+the subcommands with ``--family`` (shatter, vcdim, converge), its family built,
+once, by the library constructors. A bad flag, config key or environment value,
+or a value a constructor refuses, exits 2 with empty stdout and
 ``config error at WHERE: MESSAGE`` on stderr; WHERE is the JSON pointer of a
 config key (``/family/order``, also for its flag) or an own flag (``--window``,
-``--set/1``). Exit 1 is a ``ValueError`` raised while the work runs; exit 3
-is a resource cap (the join's 20 sets here, also the k-interval DP's
-``cost_cap`` in the library). JSON reports echo the merged config; its
-``output`` key (or ``--output``) redirects the main artifact to a file.
+``--set/1``). induced and counterexample sample a rotation unless the config
+names a kind (counterexample takes no other). Exit 1 is a ``ValueError``
+raised while the work runs; exit 3 is a resource cap (the join's 20 sets here,
+also the k-interval DP's ``cost_cap`` in the library). JSON reports echo the
+merged config; its ``output`` key (or ``--output``) redirects the main
+artifact to a file.
 Artifacts are CSV with exact numerator/denominator columns next to any float
 column; summaries are JSON on stdout.
 """
@@ -48,7 +53,6 @@ from .processes import (
     iid_spec,
     markov_spec,
     rotation_spec,
-    stationary_distribution,
     trajectory_family,
 )
 from .vc import _distinct, full_join_witness, join, sauer_bound, shatter_coefficient, vc_dimension
@@ -102,8 +106,9 @@ _PARAMS = {
         "markov": {"matrix": {}, "cells": {}},
     }.items()
 }
-# The process kind of a run whose config names none.
-_DEFAULT_KIND = {"induced": "rotation"}
+# The process kind of a run whose config names none; such a rotation's unset
+# start point is a seeded uniform draw, not 0. counterexample samples no other kind.
+_DEFAULT_KIND = {"induced": "rotation", "counterexample": "rotation"}
 
 
 class _Violation(Exception):
@@ -157,41 +162,6 @@ def _checked(value, schema, pointer=""):
     return int(value) if kind == "integer" else value
 
 
-def _validate_config(config, default_kind: str = "iid-uniform") -> str | None:
-    """First violation as 'pointer: message', or None (integer leaves cast in place).
-
-    ``process.params`` may hold only the keys its kind reads, the kind being
-    ``default_kind`` when the config names none. The process and a trajectory
-    family (an O(1) build) are built once here, so what their constructors
-    refuse (a Markov chain without a unique stationary law, a whole turn) exits 2.
-    """
-    try:
-        _checked(config, CONFIG_SCHEMA)
-        process = config.get("process", {})
-        _checked(process.get("params", {}), _PARAMS[process.get("kind", default_kind)], "/process/params")
-    except _Violation as e:
-        return f"{e.args[0] or '/'}: {e.args[1]}"
-    grid = config.get("m_grid")
-    if grid and any(a >= b for a, b in zip(grid, grid[1:])):
-        return "/m_grid: values must be strictly ascending"
-    family = _family_params(config)
-    if family["name"] == "run-pattern" and family["order"] > 4:
-        return "/family/order: run-pattern grids hold 2**order <= 20 points, so order <= 4"
-    if family["name"] == "trajectory":
-        try:
-            _build_family(family, _seed_precision(config)[1])
-        except ValueError as e:
-            return f"/family/alpha_fixed: {e}"
-    kind = config.get("process", {}).get("kind", default_kind)
-    try:
-        spec = _process_spec(config, default_kind)
-        if kind == "markov":
-            stationary_distribution(spec.params["matrix"])
-    except (ValueError, TypeError, ArithmeticError) as e:
-        return f"/process/params{'/alpha_fixed' if kind == 'rotation' else ''}: {e}"
-    return None
-
-
 def _config_error(problem: str) -> int:
     print(f"config error at {problem}", file=sys.stderr)
     return 2
@@ -218,32 +188,8 @@ def _build_family(params, precision: int) -> SetFamily:
     return trajectory_family(alpha, int(params.get("x0_fixed", 0)), precision, params.get("window", 1))
 
 
-def _family_params(config) -> dict:
-    """Family section with its defaults: name dyadic, order 3 for intervals and 4 otherwise."""
-    params = {"name": "dyadic", **config.get("family", {})}
-    params.setdefault("order", 3 if params["name"] == "intervals" else 4)
-    return params
-
-
-def _family(config) -> tuple[dict, SetFamily, int]:
-    """Family section with its defaults, the family and its budget."""
-    params = _family_params(config)
-    fam = _build_family(params, _seed_precision(config)[1])
-    default = fam.size if fam.size is not None else 16 if params["name"] == "trajectory" else 32
-    return params, fam, params.get("budget", default)
-
-
-def _seed_precision(config) -> tuple[int, int]:
-    """Process seed and fixed-point bits, each read from its one config key."""
-    return config.get("process", {}).get("seed", 0), config.get("precision", 128)
-
-
-def _process_spec(config, default_kind: str = "iid-uniform") -> ProcessSpec:
-    """The checked ``process`` section's spec, built by its kind's constructor."""
-    section = config.get("process", {})
-    kind = section.get("kind", default_kind)
-    params = section.get("params", {})
-    seed, precision = _seed_precision(config)
+def _process_spec(kind: str, params, seed: int, precision: int) -> ProcessSpec:
+    """The spec of checked ``process.params``, built by its kind's constructor."""
     if kind == "rotation":
         alpha = params.get("alpha_fixed")
         alpha = None if alpha is None else int(alpha)
@@ -288,21 +234,19 @@ def _probe_points(order: int) -> list[Fraction]:
 
 
 def _cmd_shatter(args, config) -> int:
-    params, fam, upto = _family(config)
-    points = args.points or _probe_points(params["order"])
-    s = shatter_coefficient(points, fam, upto)
-    body = {"family": params["name"], "members": upto, "points": len(points), "shatter": s}
+    points = args.points or _probe_points(args.family["order"])
+    s = shatter_coefficient(points, args.fam, args.upto)
+    body = {"family": args.family["name"], "members": args.upto, "points": len(points), "shatter": s}
     _report(args, "shatter", body, config)
     return 0
 
 
 def _cmd_vcdim(args, config) -> int:
-    params, fam, upto = _family(config)
-    probe = _probe_points(params["order"])
-    res = vc_dimension(fam, upto, probe, max_k=args.max_k)
+    probe = _probe_points(args.family["order"])
+    res = vc_dimension(args.fam, args.upto, probe, max_k=args.max_k)
     body = {
-        "family": params["name"],
-        "members": upto,
+        "family": args.family["name"],
+        "members": args.upto,
         "dim": res.dim,
         "witness": [str(x) for x in res.witness],
         "at_cap": res.at_cap,
@@ -329,16 +273,14 @@ _CSV_HEADER = "seed,m,gamma_num,gamma_den,gamma_f64,argmax_member"
 
 def _cmd_converge(args, config) -> int:
     m_grid = config.get("m_grid", [100, 1000])
-    params, fam, upto = _family(config)
-    spec = _process_spec(config)
-    seeds = config.get("seeds", [spec.seed])
-    bundle = deviation_trace(fam, upto, spec, m_grid, seeds, workers=config.get("workers", 1))
+    seeds = config.get("seeds", [args.seed])
+    bundle = deviation_trace(args.fam, args.upto, args.spec, m_grid, seeds, workers=config.get("workers", 1))
     _emit("\n".join([_CSV_HEADER] + bundle.csv_rows()) + "\n", config)
     if config.get("output"):
         body = {
-            "family": params["name"],
-            "members": upto,
-            "process": spec.kind,
+            "family": args.family["name"],
+            "members": args.upto,
+            "process": args.spec.kind,
             "m_grid": list(m_grid),
             "seeds": len(seeds),
             "median_gamma": [_rat(v) for v in bundle.median_values],
@@ -349,15 +291,12 @@ def _cmd_converge(args, config) -> int:
 
 
 def _cmd_counterexample(args, config) -> int:
-    seed, precision = _seed_precision(config)
     window = args.window
     m_max = args.m
-    x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)
-    spec = rotation_spec(seed=seed, x0_fixed=x0, precision=precision)
-    alpha = spec.params["alpha_fixed"]
+    alpha, x0 = args.spec.params["alpha_fixed"], args.spec.params["x0_fixed"]
     # The orbit family starts at x_1.
-    fam = trajectory_family(alpha, (x0 + alpha) % (1 << precision), precision, window)
-    path = generate(spec, m_max)
+    fam = trajectory_family(alpha, (x0 + alpha) % (1 << args.precision), args.precision, window)
+    path = generate(args.spec, m_max)
     upto = max(2, -(-(m_max - 1) // window) if m_max > 1 else 1)
     grid = sorted({v for v in (1, 10, 100, 1000, 10_000) if v < m_max} | {m_max})
     rows = [_CSV_HEADER]
@@ -366,7 +305,7 @@ def _cmd_counterexample(args, config) -> int:
         res = uniform_deviation(fam, upto, path, m)
         constant_one &= res.value == 1
         arg = "" if res.argmax is None else res.argmax
-        rows.append(f"{seed},{m},{res.value.numerator},{res.value.denominator},{float(res.value)!r},{arg}")
+        rows.append(f"{args.seed},{m},{res.value.numerator},{res.value.denominator},{float(res.value)!r},{arg}")
     _emit("\n".join(rows) + "\n", config)
     if not constant_one:
         print("warning: deviation left 1; expected the orbit-atom pin", file=sys.stderr)
@@ -389,22 +328,15 @@ def _cmd_isomorphism(args, config) -> int:
 
 
 def _cmd_induced(args, config) -> int:
-    seed, precision = _seed_precision(config)
     region = args.region
     count = args.count
     m = count if args.m is None else args.m
     need = max(1000, int(count / float(region.measure)) * 3)
-    process = {"kind": _DEFAULT_KIND["induced"], "params": {}, **config.get("process", {})}
-    if process["kind"] == "rotation" and "x0_fixed" not in process["params"]:
-        # An unset start point is a seeded uniform draw, not 0.
-        x0 = fixed_uniform(seed, DOMAIN_IID, 0, precision)
-        process["params"] = {**process["params"], "x0_fixed": x0}
-    spec = _process_spec({**config, "process": process})
-    path = generate(spec, need)
+    path = generate(args.spec, need)
     ip = induce(path, region, count)
     ident = frequency_transfer_identity(ip, args.member, m)
     body = {
-        "process": spec.kind,
+        "process": args.spec.kind,
         "region": str(region),
         "returns": count,
         "m": m,
@@ -420,9 +352,8 @@ def _cmd_induced(args, config) -> int:
 
 
 def _cmd_graph_lift(args, config) -> int:
-    spec = _process_spec(config)
     m = args.m
-    path = generate(spec, m)
+    path = generate(args.spec, m)
     gs = graph_lift(path, yseed=args.yseed)
     identity = PiecewiseFn((0, 1), ((1, 0),), 1)
     fubini = gs.indicator_mean(identity, m)
@@ -566,19 +497,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_args(args) -> str | None:
-    """First bad own argument as 'flag: message', or None (values read in place)."""
+def _resolve(args, config) -> str | None:
+    """Check the run, then build what it samples, once; the first problem as
+    'where: message', or None.
+
+    The walk covers the merged config, ``process.params`` against its kind's
+    keys and the own arguments (read in place); the rules over several values
+    follow. Only then are the family (with ``--family``) and the process spec
+    built, so a constructor's refusal (a reducible chain, a whole turn) exits
+    2. ``args`` gains ``seed``, ``precision``, ``spec``, ``family`` (the
+    section with its defaults) and, with ``--family``, ``fam`` and ``upto``.
+    """
+    default_kind = _DEFAULT_KIND.get(args.subcommand, "iid-uniform")
     try:
+        _checked(config, CONFIG_SCHEMA)
+        process = config.get("process", {})
+        kind = process.get("kind", default_kind)
+        if args.subcommand == "counterexample":
+            _checked(kind, {"enum": ["rotation"]}, "/process/kind")
+        params = _checked(process.get("params", {}), _PARAMS[kind], "/process/params")
         for flag, dest, fragment, _ in args.rows:
             value = getattr(args, dest)
             if fragment is not None and value is not None:
                 setattr(args, dest, _checked(value, fragment, flag))
     except _Violation as e:
-        return f"{e.args[0]}: {e.args[1]}"
+        return f"{e.args[0] or '/'}: {e.args[1]}"
+    grid = config.get("m_grid")
+    if grid and any(a >= b for a, b in zip(grid, grid[1:])):
+        return "/m_grid: values must be strictly ascending"
     if args.subcommand == "induced" and args.region.is_empty:
         return "--region: the region must have positive measure"
     if args.subcommand == "induced" and args.m is not None and args.m > args.count:
         return f"--m: {args.m} is greater than --count {args.count}"
+    family = args.family = {"name": "dyadic", **config.get("family", {})}
+    family.setdefault("order", 3 if family["name"] == "intervals" else 4)
+    if family["name"] == "run-pattern" and family["order"] > 4:
+        return "/family/order: run-pattern grids hold 2**order <= 20 points, so order <= 4"
+    args.seed, args.precision = process.get("seed", 0), config.get("precision", 128)
+    if _FAMILY[0] in args.rows:
+        try:
+            args.fam = _build_family(family, args.precision)
+        except ValueError as e:  # the walk leaves only a trajectory's whole turn
+            return f"/family/alpha_fixed: {e}"
+        default = args.fam.size if args.fam.size is not None else 16 if family["name"] == "trajectory" else 32
+        args.upto = family.get("budget", default)
+    if kind == "rotation" and default_kind == "rotation" and "x0_fixed" not in params:
+        params = {**params, "x0_fixed": fixed_uniform(args.seed, DOMAIN_IID, 0, args.precision)}
+    try:
+        args.spec = _process_spec(kind, params, args.seed, args.precision)
+    except (ValueError, TypeError, ArithmeticError) as e:
+        return f"/process/params{'/alpha_fixed' if kind == 'rotation' else ''}: {e}"
     return None
 
 
@@ -611,7 +579,7 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             return _config_error(f"/: {e}")
     config = _merge_overrides(config, args)
-    problem = _validate_config(config, _DEFAULT_KIND.get(args.subcommand, "iid-uniform")) or _validate_args(args)
+    problem = _resolve(args, config)
     if problem is not None:
         return _config_error(problem)
     try:

@@ -52,16 +52,19 @@ def k_interval_class(k: int, order: int) -> SetFamily:
 
     Member 0 is the empty union; the rest enumerate, for t = 1..k, every
     choice of 2t distinct endpoints from {j / 2**order} paired left to right.
-    Distinct endpoint choices give distinct normalized unions.
+    Distinct endpoint choices give distinct normalized unions. A union of t
+    runs takes 2t of the 2**order + 1 endpoints, so a k above 2**(order - 1)
+    adds no member.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n_endpoints = (1 << order) + 1
     den = 1 << order
+    runs = min(k, n_endpoints // 2)
     # combinations() runs in lexicographic order, so members stream in index
     # order; the list grows at least twofold whenever a read lies beyond it.
     built = [EMPTY]
-    ends = chain.from_iterable(combinations(range(n_endpoints), 2 * t) for t in range(1, k + 1))
+    ends = chain.from_iterable(combinations(range(n_endpoints), 2 * t) for t in range(1, runs + 1))
     stream = map(partial(from_sweep, den), ends)
 
     def member(i: int) -> IntervalUnion:
@@ -69,7 +72,7 @@ def k_interval_class(k: int, order: int) -> SetFamily:
             built.extend(islice(stream, max(i + 1 - len(built), len(built))))
         return built[i]
 
-    size = 1 + sum(comb(n_endpoints, 2 * t) for t in range(1, k + 1))
+    size = 1 + sum(comb(n_endpoints, 2 * t) for t in range(1, runs + 1))
     return SetFamily(f"k-intervals({k},order={order})", member, size)
 
 
@@ -112,7 +115,7 @@ def run_pattern_class(k: int, grid) -> SetFamily:
     # sorted, the masks keep the ascending order of a scan over all 2**n.
     masks = sorted(
         sum((1 << hi) - (1 << lo) for lo, hi in zip(b[::2], b[1::2]))
-        for t in range(k + 1)
+        for t in range(min(k, (n + 1) // 2) + 1)  # n points hold at most (n + 1) // 2 runs
         for b in combinations(range(n + 1), 2 * t)
     )
 

@@ -175,10 +175,11 @@ def markov_spec(matrix, cells, seed: int, precision: int = 128) -> ProcessSpec:
     """Finite chain over a cell partition of [0, 1).
 
     Rows must be rational and sum to one exactly; cells must be disjoint
-    with positive measure and cover [0, 1). The chain starts from its exact
-    stationary distribution; the sampled marginal is Lebesgue iff the
-    stationary probabilities equal the cell measures (true for doubly
-    stochastic matrices on an equal-measure partition).
+    with positive measure and cover [0, 1). The chain must have a unique
+    stationary distribution, and it starts from it exactly; the sampled
+    marginal is Lebesgue iff the stationary probabilities equal the cell
+    measures (true for doubly stochastic matrices on an equal-measure
+    partition).
     """
     matrix = [[Fraction(x) for x in row] for row in matrix]
     cells = [c if isinstance(c, IntervalUnion) else parse_union(c) for c in cells]
@@ -199,6 +200,7 @@ def markov_spec(matrix, cells, seed: int, precision: int = 128) -> ProcessSpec:
         total = total.union(c)
     if total.measure != 1:
         raise ValueError("cells must cover [0, 1)")
+    stationary_distribution(matrix)  # raises unless the law is unique
     return ProcessSpec("markov", {"matrix": matrix, "cells": cells}, seed, precision)
 
 

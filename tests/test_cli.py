@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergodic_vc import cli
-from ergodic_vc.cli import CONFIG_SCHEMA, _build_parser, _family, _validate_config, main
+from ergodic_vc.cli import CONFIG_SCHEMA, _build_parser, _resolve, main
 
 CSV_HEADER = "seed,m,gamma_num,gamma_den,gamma_f64,argmax_member"
 
@@ -152,8 +152,9 @@ def test_trajectory_family_uses_the_run_precision(invoke):
                              "--precision", "64", "--m-grid", "10,100"])
     assert code == 0, err
     assert len(out.strip().splitlines()) == 1 + 2
-    _, fam, _ = _family({"precision": 64, "family": {"name": "trajectory"}})
-    assert fam.member(0).precision == 64
+    args = _build_parser().parse_args(["converge"])
+    assert _resolve(args, {"precision": 64, "family": {"name": "trajectory"}}) is None
+    assert args.fam.member(0).precision == 64
 
 
 def test_integral_float_seed_and_precision_read_as_integers(invoke, tmp_path):
@@ -388,7 +389,8 @@ def test_seed_beyond_64_bits_exits_2(invoke, tmp_path):
     code, _, err = invoke(["converge", "--config", str(cfg)])
     assert code == 2
     assert "/seeds/0" in err
-    assert _validate_config({"process": {"kind": "iid-uniform", "seed": 1 << 64}}).startswith(
+    args = _build_parser().parse_args(["converge"])
+    assert _resolve(args, {"process": {"kind": "iid-uniform", "seed": 1 << 64}}).startswith(
         "/process/seed"
     )
 
@@ -617,7 +619,7 @@ def test_validate_config_accepts_full_document():
         "precision": 128,
         "workers": 4,
     }
-    assert _validate_config(doc) is None
+    assert _resolve(_build_parser().parse_args(["converge"]), doc) is None
 
 
 @pytest.mark.parametrize(
@@ -671,6 +673,59 @@ def test_counterexample_window_is_checked_before_any_path(invoke, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "config error at --window: 0 is less than the minimum of 1\n"
+
+
+def test_counterexample_samples_the_configured_rotation(invoke, tmp_path, monkeypatch):
+    """A quarter turn from the config, with or without a kind, changes the rows;
+    a kind that is no rotation exits 2 before any path."""
+    _, golden, _ = invoke(["counterexample", "--m", "1000"])
+    cfg = tmp_path / "run.json"
+    quarter = {"params": {"alpha_fixed": str(1 << 126)}}
+    outs = []
+    for process in (quarter, {"kind": "rotation", **quarter}):
+        cfg.write_text(json.dumps({"process": process}))
+        code, out, err = invoke(["counterexample", "--config", str(cfg), "--m", "1000"])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1] != golden
+    assert outs[0].splitlines()[-1] == "0,1000,1,1,1.0,0"  # member 0 already holds the 4-cycle
+    monkeypatch.setattr(cli, "generate", _no_path)
+    cfg.write_text(json.dumps({"process": {"kind": "doubling"}}))
+    code, out, err = invoke(["counterexample", "--config", str(cfg), "--m", "1000"])
+    assert (code, out) == (2, "")
+    assert err == "config error at /process/kind: 'doubling' is not one of ['rotation']\n"
+
+
+def test_converge_builds_its_process_and_family_once(invoke, tmp_path, monkeypatch):
+    calls = {"markov_spec": 0, "trajectory_family": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    params = {"matrix": [["1/2", "1/2"], ["1/2", "1/2"]], "cells": ["[0,1/2)", "[1/2,1)"]}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"process": {"kind": "markov", "params": params}, "family": {"name": "trajectory"}}))
+    code, out, err = invoke(["converge", "--config", str(cfg), "--m-grid", "10"])
+    assert code == 0, err
+    assert calls == {"markov_spec": 1, "trajectory_family": 1}
+
+
+@pytest.mark.parametrize("argv, fits", [("shatter --family intervals --order 3", 4),
+                                        ("vcdim --family run-pattern --order 2", 2)])
+def test_k_beyond_the_runs_that_fit_adds_no_work(argv, fits):
+    """8 grid cells hold at most 4 runs and 4 grid points at most 2, so a
+    huge --k gives the same family, and as fast, as the largest k that fits."""
+    bodies = []
+    for k in (10**12, fits):
+        proc = subprocess.run([sys.executable, "-m", "ergodic_vc.cli", *argv.split(), "--k", str(k)],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        body = json.loads(proc.stdout)
+        del body["wall_time"], body["config"]["family"]["k"]
+        bodies.append(body)
+    assert bodies[0] == bodies[1]
 
 
 def test_markov_without_params_exits_2(invoke):
@@ -816,7 +871,7 @@ BAD_ARGUMENTS = {
 
 @pytest.mark.parametrize("argv", sorted(BAD_ARGUMENTS))
 def test_bad_argument_exits_2_before_any_work(invoke, monkeypatch, argv):
-    for name in ("generate", "join", "doubling_map", "build_map", "_family"):
+    for name in ("generate", "join", "doubling_map", "build_map", "_build_family", "_process_spec"):
         monkeypatch.setattr(cli, name, _no_path)
     code, out, err = invoke(argv.split())
     assert code == 2

@@ -23,7 +23,7 @@ from ergodic_vc import (
     stationary_distribution,
     trajectory_family,
 )
-from ergodic_vc.cli import _process_spec, _validate_config
+from ergodic_vc.cli import _build_parser, _resolve
 from ergodic_vc.intervals import count_in
 from ergodic_vc.processes import (
     DOMAIN_DOUBLING,
@@ -113,9 +113,50 @@ def test_spec_json_round_trip():
             markov_spec([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], [iu("[0,1/2)"), iu("[1/2,1)")], seed=6),
         ),
     ):
-        assert _validate_config(config) is None
-        assert _process_spec(config) == spec
+        args = _build_parser().parse_args(["converge"])
+        assert _resolve(args, config) is None
+        assert args.spec == spec
     assert not hasattr(ProcessSpec, "from_json")
+
+
+def test_markov_spec_refuses_a_reducible_chain():
+    with pytest.raises(ValueError, match="chain is reducible"):
+        markov_spec([[1, 0], [0, 1]], ["[0,1/2)", "[1/2,1)"], 0)
+
+
+def _built(constructor):
+    try:
+        return constructor()
+    except (TypeError, ValueError):
+        return None
+
+
+_EIGHTHS = st.integers(0, 8).map(lambda i: f"{i}/8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.sampled_from(["alpha_fixed", "x0_fixed"]),
+    value=st.one_of(st.integers(0, 1 << 130), st.integers(0, 4).map(lambda j: j << 128), st.booleans(), st.floats()),
+    matrix=st.lists(st.lists(_EIGHTHS, min_size=2, max_size=2), min_size=2, max_size=2),
+)
+def test_cli_and_constructors_follow_one_rule(key, value, matrix):
+    """A rotation numerator (a digit string in a config, the int itself or a
+    bool or float through the API) and a 2x2 chain over eighths: the CLI's
+    resolve step passes and gives the constructor's spec, or it exits 2 and
+    the constructor raises."""
+    cells = ["[0,1/2)", "[1/2,1)"]
+    for process, constructor in (
+        ({"kind": "rotation", "params": {key: str(value) if type(value) is int else value}},
+         lambda: rotation_spec(0, **{key: value})),
+        ({"kind": "markov", "params": {"matrix": matrix, "cells": cells}}, lambda: markov_spec(matrix, cells, 0)),
+    ):
+        args = _build_parser().parse_args(["graph-lift"])
+        problem = _resolve(args, {"process": process})
+        spec = _built(constructor)
+        assert (problem is None) == (spec is not None), problem
+        if spec is not None:
+            assert args.spec == spec
 
 
 @pytest.mark.parametrize("alpha", [0, 1 << 128, -(5 << 128)])
