@@ -31,7 +31,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .deviation import deviation_trace, uniform_deviation
+from .deviation import deviation_trace
 from .errors import ResourceLimitError
 from .families import dyadic_class, half_interval_class, k_interval_class, run_pattern_class, subset_indexed_sets
 from .functions import PiecewiseFn, gamma_split, graph_lift, lm_bound, ramp_family
@@ -296,18 +296,11 @@ def _cmd_counterexample(args, config) -> int:
     alpha, x0 = args.spec.params["alpha_fixed"], args.spec.params["x0_fixed"]
     # The orbit family starts at x_1.
     fam = trajectory_family(alpha, (x0 + alpha) % (1 << args.precision), args.precision, window)
-    path = generate(args.spec, m_max)
     upto = max(2, -(-(m_max - 1) // window) if m_max > 1 else 1)
     grid = sorted({v for v in (1, 10, 100, 1000, 10_000) if v < m_max} | {m_max})
-    rows = [_CSV_HEADER]
-    constant_one = True
-    for m in grid:
-        res = uniform_deviation(fam, upto, path, m)
-        constant_one &= res.value == 1
-        arg = "" if res.argmax is None else res.argmax
-        rows.append(f"{args.seed},{m},{res.value.numerator},{res.value.denominator},{float(res.value)!r},{arg}")
-    _emit("\n".join(rows) + "\n", config)
-    if not constant_one:
+    bundle = deviation_trace(fam, upto, args.spec, grid, [args.seed])
+    _emit("\n".join([_CSV_HEADER] + bundle.csv_rows()) + "\n", config)
+    if any(v != 1 for v in bundle.per_seed[0].values):
         print("warning: deviation left 1; expected the orbit-atom pin", file=sys.stderr)
     return 0
 

@@ -11,9 +11,12 @@ Two exact reductions are implemented:
   gamma <= gamma1 + gamma2 holds exactly on every instance.
 
 Evaluations, integrals and deviations are exact rationals throughout.
-Convention for half-open pieces: where an operation creates a new breakpoint
-at an exact upward level crossing, the output takes the right-interior value
-at that single point. Each affected operation documents why its stated
+Both builders, ``discretize_major`` and ``truncate_envelope``, cut pieces
+with one refinement (``_refine``) and merge equal neighbours with one
+assembler (``_assembled``). Convention for half-open pieces: where the
+refinement creates a new breakpoint at an exact upward level crossing, the
+output takes the right-interior value at that single point. ``_refine`` is
+the one place that applies it; each builder documents why its stated
 guarantees survive the convention.
 """
 
@@ -51,22 +54,20 @@ class PiecewiseFn:
             raise ValueError("breakpoints must satisfy 0 = b_0 < .. < b_r = 1")
         if len(pieces) != len(breakpoints) - 1:
             raise ValueError("need one (slope, intercept) pair per piece")
-        slopes = tuple(Fraction(s) for s, _ in pieces)
-        intercepts = tuple(Fraction(c) for _, c in pieces)
         bound = Fraction(bound)
         if bound < 0:
             raise ValueError("bound must be nonnegative")
-        for i, (s, c) in enumerate(zip(slopes, intercepts)):
-            for x in (breakpoints[i], breakpoints[i + 1]):
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "slopes", tuple(Fraction(s) for s, _ in pieces))
+        object.__setattr__(self, "intercepts", tuple(Fraction(c) for _, c in pieces))
+        object.__setattr__(self, "bound", bound)
+        for i, (a, b, s, c) in enumerate(self._pieces()):
+            for x in (a, b):
                 v = s * x + c
                 if abs(v) > bound:
                     raise ValueError(
                         f"|f| reaches {v} on piece {i}, above bound {bound}"
                     )
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "intercepts", intercepts)
-        object.__setattr__(self, "bound", bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("PiecewiseFn is immutable")
@@ -84,11 +85,12 @@ class PiecewiseFn:
         return hash((self.breakpoints, self.slopes, self.intercepts))
 
     def __repr__(self):
-        segs = ", ".join(
-            f"[{self.breakpoints[i]},{self.breakpoints[i + 1]}): {s}*x+{c}"
-            for i, (s, c) in enumerate(zip(self.slopes, self.intercepts))
-        )
+        segs = ", ".join(f"[{a},{b}): {s}*x+{c}" for a, b, s, c in self._pieces())
         return f"PiecewiseFn({segs}; bound={self.bound})"
+
+    def _pieces(self):
+        """(a, b, slope, intercept) of each piece, whose closure is [a, b]."""
+        return zip(self.breakpoints, self.breakpoints[1:], self.slopes, self.intercepts)
 
     @staticmethod
     def constant(c, bound=None) -> "PiecewiseFn":
@@ -107,11 +109,7 @@ class PiecewiseFn:
 
     def mean(self) -> Fraction:
         """Exact integral against Lebesgue measure on [0, 1)."""
-        total = Fraction(0)
-        for i, (s, c) in enumerate(zip(self.slopes, self.intercepts)):
-            a, b = self.breakpoints[i], self.breakpoints[i + 1]
-            total += s * (b * b - a * a) / 2 + c * (b - a)
-        return total
+        return sum((_integral(*piece) for piece in self._pieces()), Fraction(0))
 
     def affine(self, scale, shift, bound=None) -> "PiecewiseFn":
         """scale * f + shift, with an explicit or worst-case derived bound."""
@@ -126,12 +124,8 @@ class PiecewiseFn:
 
     def range_bounds(self) -> tuple[Fraction, Fraction]:
         """(inf, sup) of f over the closures of all pieces."""
-        lo = hi = self.slopes[0] * self.breakpoints[0] + self.intercepts[0]
-        for i, (s, c) in enumerate(zip(self.slopes, self.intercepts)):
-            for x in (self.breakpoints[i], self.breakpoints[i + 1]):
-                v = s * x + c
-                lo, hi = min(lo, v), max(hi, v)
-        return lo, hi
+        values = [s * x + c for a, b, s, c in self._pieces() for x in (a, b)]
+        return min(values), max(values)
 
     def to_json(self) -> dict:
         def rat(v):
@@ -146,16 +140,39 @@ class PiecewiseFn:
         }
 
 
-def _merged_staircase(cuts, values, bound) -> PiecewiseFn:
-    """Assemble a piecewise-constant function, merging equal neighbors."""
-    breakpoints = [cuts[0]]
+def _integral(a, b, s, c) -> Fraction:
+    """Exact integral of s * x + c over [a, b]."""
+    return s * (b * b - a * a) / 2 + c * (b - a)
+
+
+def _refine(f: PiecewiseFn, levels, extra=()):
+    """f's pieces cut where f crosses a level inside a piece, and at extra points.
+
+    Yields (a, b, slope, intercept, mid) per segment [a, b) in order, with
+    mid = f((a + b) / 2). Callers decide each segment by mid, so a new cut
+    point takes the value of the segment to its right: this is where the
+    module's right-interior convention is applied.
+    """
+    for a, b, s, c in f._pieces():
+        inner = {x for x in extra if a < x < b}
+        if s != 0:
+            inner.update(x for x in ((alpha - c) / s for alpha in levels) if a < x < b)
+        grid = [a, *sorted(inner), b]
+        for lo, hi in zip(grid, grid[1:]):
+            yield lo, hi, s, c, s * ((lo + hi) / 2) + c
+
+
+def _assembled(segments, bound) -> PiecewiseFn:
+    """The function over ascending segments (a, b, slope, intercept) from 0 to 1,
+    with equal neighbouring pieces merged."""
+    breakpoints = [Fraction(0)]
     pieces = []
-    for t, v in zip(cuts[1:], values):
-        if pieces and pieces[-1][1] == v:
-            breakpoints[-1] = t
+    for _, b, s, c in segments:
+        if pieces and pieces[-1] == (s, c):
+            breakpoints[-1] = b
         else:
-            breakpoints.append(t)
-            pieces.append((Fraction(0), v))
+            breakpoints.append(b)
+            pieces.append((s, c))
     return PiecewiseFn(breakpoints, pieces, bound)
 
 
@@ -181,25 +198,11 @@ def discretize_major(f: PiecewiseFn, bound, levels: int) -> PiecewiseFn:
     eps = 2 * bound / levels
     thresholds = [bound - eps * j for j in range(1, levels + 1)]
 
-    cuts = []
-    values = []
-    for i, (s, c) in enumerate(zip(f.slopes, f.intercepts)):
-        a, b = f.breakpoints[i], f.breakpoints[i + 1]
-        inner = set()
-        if s != 0:
-            for alpha in thresholds:
-                x = (alpha - c) / s
-                if a < x < b:
-                    inner.add(x)
-        grid = [a] + sorted(inner) + [b]
-        for lo_t, hi_t in zip(grid, grid[1:]):
-            mid = (lo_t + hi_t) / 2
-            fm = s * mid + c
-            n = sum(1 for alpha in thresholds if fm <= alpha)
-            cuts.append(lo_t)
-            values.append(bound - eps * n)
-    cuts.append(Fraction(1))
-    return _merged_staircase(cuts, values, bound)
+    steps = [
+        (a, b, Fraction(0), bound - eps * sum(1 for alpha in thresholds if mid <= alpha))
+        for a, b, _, _, mid in _refine(f, thresholds)
+    ]
+    return _assembled(steps, bound)
 
 
 @dataclass(frozen=True)
@@ -208,22 +211,6 @@ class Truncation:
 
     fn: PiecewiseFn
     tail: Fraction
-
-
-def _common_refinement(f: PiecewiseFn, g: PiecewiseFn) -> list[Fraction]:
-    return sorted(set(f.breakpoints) | set(g.breakpoints))
-
-
-def _check_envelope(f: PiecewiseFn, envelope: PiecewiseFn, cuts) -> None:
-    for a, b in zip(cuts, cuts[1:]):
-        i, j = f.piece_index(a), envelope.piece_index(a)
-        for x in (a, b):
-            fv = f.slopes[i] * x + f.intercepts[i]
-            ev = envelope.slopes[j] * x + envelope.intercepts[j]
-            if ev < abs(fv):
-                raise ValueError(
-                    f"envelope {ev} < |f| = {abs(fv)} near x = {x}"
-                )
 
 
 def truncate_envelope(f: PiecewiseFn, envelope: PiecewiseFn, cap) -> Truncation:
@@ -235,41 +222,27 @@ def truncate_envelope(f: PiecewiseFn, envelope: PiecewiseFn, cap) -> Truncation:
     the right-interior convention zeroes that single boundary point even
     though the closed inequality would keep it. The discrepancy is confined
     to the finite crossing set and does not move the tail integral.
+    An envelope below |f| at a segment end raises ValueError; envelope - |f|
+    is concave on each segment, so its ends cover every point.
     """
     cap = Fraction(cap)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    cuts = _common_refinement(f, envelope)
-    _check_envelope(f, envelope, cuts)
-
-    refined = set(cuts)
-    for j, (s, c) in enumerate(zip(envelope.slopes, envelope.intercepts)):
-        a, b = envelope.breakpoints[j], envelope.breakpoints[j + 1]
-        if s != 0:
-            x = (cap - c) / s
-            if a < x < b:
-                refined.add(x)
-    grid = sorted(refined)
-
-    breakpoints = [Fraction(0)]
-    pieces = []
+    segments = []
     tail = Fraction(0)
-    for a, b in zip(grid, grid[1:]):
-        mid = (a + b) / 2
-        j = envelope.piece_index(mid)
-        es, ec = envelope.slopes[j], envelope.intercepts[j]
-        if es * mid + ec > cap:
-            piece = (Fraction(0), Fraction(0))
-            tail += 2 * (es * (b * b - a * a) / 2 + ec * (b - a))
+    for a, b, es, ec, mid in _refine(envelope, (cap,), f.breakpoints):
+        i = f.piece_index(a)
+        fs, fc = f.slopes[i], f.intercepts[i]
+        for x in (a, b):
+            ev, fv = es * x + ec, fs * x + fc
+            if ev < abs(fv):
+                raise ValueError(f"envelope {ev} < |f| = {abs(fv)} near x = {x}")
+        if mid > cap:
+            segments.append((a, b, Fraction(0), Fraction(0)))
+            tail += 2 * _integral(a, b, es, ec)
         else:
-            i = f.piece_index(mid)
-            piece = (f.slopes[i], f.intercepts[i])
-        if pieces and pieces[-1] == piece:
-            breakpoints[-1] = b
-        else:
-            breakpoints.append(b)
-            pieces.append(piece)
-    return Truncation(PiecewiseFn(breakpoints, pieces, min(f.bound, cap)), tail)
+            segments.append((a, b, fs, fc))
+    return Truncation(_assembled(segments, min(f.bound, cap)), tail)
 
 
 def _eval_plan(f: PiecewiseFn, precision: int):
@@ -282,8 +255,8 @@ def _eval_plan(f: PiecewiseFn, precision: int):
     scale = 1 << precision
     bounds = []
     rows = []
-    for i, (s, c) in enumerate(zip(f.slopes, f.intercepts)):
-        bounds.append(ceil_fixed(f.breakpoints[i], precision))
+    for a, _, s, c in f._pieces():
+        bounds.append(ceil_fixed(a, precision))
         sd, cd = s.denominator, c.denominator
         rows.append((s.numerator * cd, c.numerator * sd * scale, sd * cd))
     return bounds, rows
@@ -318,22 +291,14 @@ def _plan_sums(f: PiecewiseFn, precision: int, xs, ys=None) -> tuple[Fraction, i
 def gamma_fn(fns, path: SamplePath, m: int) -> DeviationResult:
     """sup over the family of |sample mean of f - exact mean of f|."""
     fns = list(fns)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > len(path.fixed):
-        raise InsufficientDataError(
-            f"path holds {len(path.fixed)} samples, need {m}",
-            available=len(path.fixed),
-        )
+    xs = path.sorted_fixed(m)
     best = Fraction(0)
     arg = None
     for i, f in enumerate(fns):
-        total, _ = _plan_sums(f, path.precision, path.sorted_fixed(m))
+        total, _ = _plan_sums(f, path.precision, xs)
         dev = abs(total / m - f.mean())
         if arg is None or dev > best:
             best, arg = dev, i
-    if arg is None:
-        return DeviationResult(Fraction(0), None, 0)
     return DeviationResult(best, arg, len(fns))
 
 
@@ -356,7 +321,8 @@ class GraphSample:
     def __len__(self) -> int:
         return len(self.yfixed)
 
-    def _require(self, m: int) -> None:
+    def _sorted_pairs(self, m: int) -> tuple[tuple, tuple]:
+        """(xs, ys) of the first m pairs, sorted by x, as ``_plan_sums`` takes them."""
         if m < 1:
             raise ValueError("m must be >= 1")
         if m > len(self.yfixed):
@@ -364,10 +330,6 @@ class GraphSample:
                 f"graph sample holds {len(self.yfixed)} pairs, need {m}",
                 available=len(self.yfixed),
             )
-
-    def _sorted_pairs(self, m: int) -> tuple[tuple, tuple]:
-        """(xs, ys) of the first m pairs, sorted by x, as ``_plan_sums`` takes them."""
-        self._require(m)
         return tuple(zip(*sorted(zip(self.path.fixed[:m], self.yfixed[:m]))))
 
     def indicator_mean(self, f: PiecewiseFn, m: int) -> Fraction:
@@ -420,31 +382,16 @@ def gamma_split(fns, gs: GraphSample, m: int) -> GammaSplit:
     the indicator frequency), and the comparison is scale-invariant.
     """
     fns = list(fns)
-    gs._require(m)
-    if not fns:
-        return GammaSplit(
-            Fraction(0), Fraction(0), Fraction(0), True, Fraction(1),
-            None, None, None,
-        )
-    in_unit = all(
-        lo >= 0 and hi <= 1 for lo, hi in (f.range_bounds() for f in fns)
-    )
-    if in_unit:
+    xs, ys = gs._sorted_pairs(m)
+    if all(lo >= 0 and hi <= 1 for lo, hi in (f.range_bounds() for f in fns)):
         scale = Fraction(1)
         evaluated = fns
     else:
         env = max(f.bound for f in fns)
-        if env == 0:
-            evaluated = [PiecewiseFn.constant(Fraction(1, 2), bound=1) for _ in fns]
-            scale = Fraction(0)
-        else:
-            evaluated = [
-                f.affine(Fraction(1, 2 * env), Fraction(1, 2), bound=1) for f in fns
-            ]
-            scale = 2 * env
+        evaluated = [f.affine(Fraction(1, 2 * env), Fraction(1, 2), bound=1) for f in fns]
+        scale = 2 * env
 
-    xs, ys = gs._sorted_pairs(m)
-    gamma = gamma1 = gamma2 = Fraction(-1)
+    gamma = gamma1 = gamma2 = Fraction(0)
     a0 = a1 = a2 = None
     for i, g in enumerate(evaluated):
         mean_exact = g.mean()
@@ -454,11 +401,11 @@ def gamma_split(fns, gs: GraphSample, m: int) -> GammaSplit:
         d0 = abs(sample_mean - mean_exact)
         d1 = abs(freq - mean_exact)
         d2 = abs(freq - sample_mean)
-        if d0 > gamma:
+        if a0 is None or d0 > gamma:
             gamma, a0 = d0, i
-        if d1 > gamma1:
+        if a1 is None or d1 > gamma1:
             gamma1, a1 = d1, i
-        if d2 > gamma2:
+        if a2 is None or d2 > gamma2:
             gamma2, a2 = d2, i
     return GammaSplit(
         gamma, gamma1, gamma2, gamma <= gamma1 + gamma2, scale, a0, a1, a2

@@ -32,12 +32,15 @@ A small text form is supported for configs and reports::
     term  := '[' rat ',' rat ')'
     rat   := int ('/' int)?
 
-``parse_union`` and ``str()`` round-trip on normalized unions (the empty
+Spaces may stand around a term's brackets and comma and around ``u``, not
+inside a rat. ``parse_union`` reads each term with one pattern, and it and
+``str()`` round-trip on normalized unions (the empty
 union prints and parses as the empty string).
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -367,66 +370,32 @@ def normalize(pairs: Iterable[tuple]) -> IntervalUnion:
 # -- text form --------------------------------------------------------------
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i] == " ":
-        i += 1
-    return i
-
-
-def _parse_int(text: str, i: int) -> tuple[int, int]:
-    start = i
-    while i < len(text) and text[i].isdigit():
-        i += 1
-    if i == start:
-        raise ParseError("expected integer", start)
-    return int(text[start:i]), i
-
-
-def _parse_rat(text: str, i: int) -> tuple[Fraction, int]:
-    num, i = _parse_int(text, i)
-    if i < len(text) and text[i] == "/":
-        den, i = _parse_int(text, i + 1)
-        if den == 0:
-            raise ParseError("zero denominator", i - 1)
-        return Fraction(num, den), i
-    return Fraction(num), i
-
-
-def _parse_term(text: str, i: int) -> tuple[tuple[Fraction, Fraction], int]:
-    if i >= len(text) or text[i] != "[":
-        raise ParseError("expected '['", i)
-    i = _skip_ws(text, i + 1)
-    lo, i = _parse_rat(text, i)
-    i = _skip_ws(text, i)
-    if i >= len(text) or text[i] != ",":
-        raise ParseError("expected ','", i)
-    i = _skip_ws(text, i + 1)
-    hi, i = _parse_rat(text, i)
-    i = _skip_ws(text, i)
-    if i >= len(text) or text[i] != ")":
-        raise ParseError("expected ')'", i)
-    if lo >= hi:
-        raise ValueError(f"empty interval [{lo},{hi}) in union text")
-    return (lo, hi), i + 1
+_TERM = re.compile(r" *\[ *(\d+)(?:/(\d+))? *, *(\d+)(?:/(\d+))? *\) *")
 
 
 def parse_union(text: str) -> IntervalUnion:
-    """Parse the DSL form; the empty/blank string denotes the empty union."""
-    i = _skip_ws(text, 0)
-    if i == len(text):
+    """Parse the text form; the empty/blank string denotes the empty union.
+
+    No term contains a ``u``, so the text splits on it into terms. A term
+    that does not match raises ``ParseError`` at its offset, and a zero
+    denominator at its own.
+    """
+    if not text.strip(" "):
         return EMPTY
     pairs = []
-    term, i = _parse_term(text, i)
-    pairs.append(term)
-    while True:
-        i = _skip_ws(text, i)
-        if i == len(text):
-            break
-        if text[i] != "u":
-            raise ParseError("expected 'u' or end of input", i)
-        i = _skip_ws(text, i + 1)
-        term, i = _parse_term(text, i)
-        pairs.append(term)
+    at = 0
+    for term in text.split("u"):
+        match = _TERM.fullmatch(term)
+        if match is None:
+            raise ParseError("expected a term '[' rat ',' rat ')'", at)
+        for g in (2, 4):
+            if match[g] is not None and int(match[g]) == 0:
+                raise ParseError("zero denominator", at + match.start(g))
+        lo, hi = (Fraction(int(match[g]), int(match[g + 1] or 1)) for g in (1, 3))
+        if lo >= hi:
+            raise ValueError(f"empty interval [{lo},{hi}) in union text")
+        pairs.append((lo, hi))
+        at += len(term) + 1
     return normalize(pairs)
 
 

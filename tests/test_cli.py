@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergodic_vc import cli
+from ergodic_vc import cli, deviation
 from ergodic_vc.cli import CONFIG_SCHEMA, _build_parser, _resolve, main
 
 CSV_HEADER = "seed,m,gamma_num,gamma_den,gamma_f64,argmax_member"
@@ -669,6 +669,7 @@ def test_counterexample_window_is_checked_before_any_path(invoke, monkeypatch):
         raise AssertionError("a path was generated")
 
     monkeypatch.setattr(cli, "generate", no_path)
+    monkeypatch.setattr(deviation, "generate", no_path)
     code, out, err = invoke(["counterexample", "--window", "0", "--m", "1000"])
     assert code == 2
     assert out == ""
@@ -690,6 +691,7 @@ def test_counterexample_samples_the_configured_rotation(invoke, tmp_path, monkey
     assert outs[0] == outs[1] != golden
     assert outs[0].splitlines()[-1] == "0,1000,1,1,1.0,0"  # member 0 already holds the 4-cycle
     monkeypatch.setattr(cli, "generate", _no_path)
+    monkeypatch.setattr(deviation, "generate", _no_path)
     cfg.write_text(json.dumps({"process": {"kind": "doubling"}}))
     code, out, err = invoke(["counterexample", "--config", str(cfg), "--m", "1000"])
     assert (code, out) == (2, "")
@@ -873,6 +875,7 @@ BAD_ARGUMENTS = {
 def test_bad_argument_exits_2_before_any_work(invoke, monkeypatch, argv):
     for name in ("generate", "join", "doubling_map", "build_map", "_build_family", "_process_spec"):
         monkeypatch.setattr(cli, name, _no_path)
+    monkeypatch.setattr(deviation, "generate", _no_path)
     code, out, err = invoke(argv.split())
     assert code == 2
     assert out == ""

@@ -94,6 +94,26 @@ def test_discretize_sandwich_everywhere(seed, levels):
         assert g(x) - eps <= f(x) <= g(x)
 
 
+def _midpoints(*fns):
+    cuts = sorted(set().union(*(f.breakpoints for f in fns)))
+    return [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12))
+def test_discretize_matches_the_level_count_and_merges_neighbours(seed, levels):
+    """Also on the staircase itself, whose constant pieces sit on thresholds."""
+    f = random_piecewise_fn(seed)
+    eps = 2 * f.bound / levels
+    for h in (f, discretize_major(f, f.bound, levels)):
+        g = discretize_major(h, f.bound, levels)
+        for x in _midpoints(h, g):
+            below = sum(1 for j in range(1, levels + 1) if h(x) <= f.bound - eps * j)
+            assert g(x) == f.bound - eps * below
+        pieces = list(zip(g.slopes, g.intercepts))
+        assert all(p != q for p, q in zip(pieces, pieces[1:]))
+
+
 def test_discretize_staircase_is_constant_per_piece():
     f = random_piecewise_fn(7)
     g = discretize_major(f, f.bound, 5)
@@ -131,6 +151,20 @@ def test_truncate_tail_is_twice_exceedance_integral():
     assert tr.tail == 2 * exceed
     assert tr.fn(F(7, 8)) == 0
     assert tr.fn(F(1, 4)) == F(1, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 16).map(lambda k: 1 + F(k, 16)), st.booleans())
+def test_truncation_keeps_f_below_the_cap_and_its_tail_is_the_envelope_excess(fseed, eseed, cap, stepped):
+    f = random_piecewise_fn(fseed)
+    g = random_piecewise_fn(eseed)
+    if stepped:  # constant pieces that the cap can meet exactly
+        g = discretize_major(g, 1, 4)
+    envelope = g.affine(F(1, 2), F(3, 2))  # in [1, 2], so >= |f|
+    tr = truncate_envelope(f, envelope, cap)
+    for x in _midpoints(f, envelope, tr.fn):
+        assert tr.fn(x) == (f(x) if envelope(x) <= cap else 0)
+    assert tr.tail == 2 * (envelope.mean() - truncate_envelope(envelope, envelope, cap).fn.mean())
 
 
 def test_truncate_requires_dominating_envelope():
@@ -215,6 +249,14 @@ def test_gamma_split_rescales_unbounded_family():
     assert split.scale == 4
     assert split.bound_ok
     assert split.scale * split.gamma == gamma_fn([big], path, 100).value
+
+
+def test_gamma_split_of_an_empty_family_is_zero():
+    gs = graph_lift(generate(iid_spec(3), 10), yseed=4)
+    split = gamma_split([], gs, 10)
+    assert (split.gamma, split.gamma1, split.gamma2) == (0, 0, 0)
+    assert (split.gamma_argmax, split.gamma1_argmax, split.gamma2_argmax) == (None, None, None)
+    assert split.bound_ok and split.scale == 1
 
 
 @settings(max_examples=25, deadline=None)

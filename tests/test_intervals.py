@@ -86,6 +86,10 @@ def test_dsl_examples():
         iu("[0,1/4) + [1/2,1)")
     with pytest.raises(ValueError):
         iu("[1/2,1/4)")
+    assert iu("[0,1/2)u[1/2,1)") == iu("[0,1)")
+    for bad in ("[0,1/0)", "[0,1/2) u", "[0,1/2) uu [1/2,1)"):
+        with pytest.raises(ParseError):
+            iu(bad)
 
 
 @given(pair_list())
